@@ -1,8 +1,9 @@
 """Pure NumPy implementation of the hot inner-loop kernels.
 
 Each function sums or scans a contiguous index range [k_lo, k_hi] in one
-vectorized pass; callers are expected to keep ranges to a few hundred
-thousand indices per call (the truncation driver does).  Formulas mirror
+vectorized pass.  The truncation driver asks for a few dozen indices per
+call (its head), and more only when a tolerance below the rounding floor
+sends it to the budget.  Formulas mirror
 the compiled backend so the two stay numerically interchangeable.
 """
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .gamma_core import TruncationPolicy
-from .moments import f_gamma, f_product, kuperberg_bound
+from .moments import f_gamma, f_product, kuperberg_bound, routes_agree
 from .montecarlo import MCConfig, estimate_f
 from .pball import as_exponent
 from .verify import SUITE_NAMES, run_suite
@@ -145,11 +145,11 @@ def _parse_n_list(text: str) -> list[int]:
 
 def build_report_row(n: int, p: float, policy: TruncationPolicy, mc: MCConfig | None) -> ReportRow:
     e = as_exponent(p)
-    fg = f_gamma(n, e).value
+    closed = f_gamma(n, e)
+    fg = closed.value
     fp = f_product(n, e, policy)
     bound = kuperberg_bound(n)
     margin = bound - fg
-    routes_agree = abs(fg - fp.value) <= fp.error_estimate + 1e-10 * fg
     bound_ok = fg <= bound + 1e-12
     f_mc = mc_se = mc_agrees = None
     if mc is not None:
@@ -159,7 +159,7 @@ def build_report_row(n: int, p: float, policy: TruncationPolicy, mc: MCConfig | 
     return ReportRow(
         n=n, p=e.p, t=e.t, f_gamma=fg, f_product=fp.value,
         f_mc=f_mc, mc_std_error=mc_se, bound=bound, margin=margin,
-        bound_ok=bound_ok, routes_agree=routes_agree, mc_agrees=mc_agrees,
+        bound_ok=bound_ok, routes_agree=routes_agree(closed, fp), mc_agrees=mc_agrees,
     )
 
 

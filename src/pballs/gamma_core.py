@@ -5,11 +5,14 @@ representation
 
     prod_{k>=1}  k*(k+x-1) / ((k-a)*(k+x+a-1)),    x > 0, a < 1,
 
-whose log factors decay like 1/k^2, so the tail after K factors is O(1/K).
-``gamma_ratio_product`` evaluates the truncated product under a
-:class:`TruncationPolicy` and reports a certified tail bound next to the
-value; ``ln_gamma`` (a Lanczos g=7 scheme) provides the independent route
-the product is checked against.
+whose log factor k is log(k/(k-a)) + log((k+x-1)/(k+x+a-1)), a sum of
+differences of logs of linear terms.  ``run_truncated_log_sum`` sums such
+series as a short head of explicit terms plus a tail over k > N in closed
+form: Euler-Maclaurin summation (DLMF 2.10) with a certified remainder,
+plus an allowance for rounding.  ``gamma_ratio_product`` evaluates the
+product that way under a :class:`TruncationPolicy` and reports the bound
+next to the value; ``ln_gamma`` (a Lanczos g=7 scheme) provides the
+independent route the product is checked against.
 """
 
 from __future__ import annotations
@@ -97,12 +100,13 @@ def signed_ln_gamma(x: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How many product factors to take and how to certify the tail.
+    """How many explicit terms a truncated series may sum, and how to check it.
 
-    max_terms caps the total factor budget (including the doubling pass);
+    max_terms caps the total term budget (including the doubling pass);
     rel_tol is the target bound on |log(true/truncated)|, i.e. roughly the
-    relative error; confirm_by_doubling re-evaluates at twice the stopping
-    index and checks the observed tail segment against the claimed bound.
+    relative error; confirm_by_doubling re-evaluates head plus tail at twice
+    the stopping index and checks that both estimates agree within their
+    bounds.
     """
 
     max_terms: int = 1_000_000
@@ -126,12 +130,14 @@ DEFAULT_POLICY = TruncationPolicy()
 class ProductResult:
     """A truncated product value plus its certified accuracy.
 
-    tail_bound bounds |log(true/value)| (approximately the relative error).
-    converged means the bound met the policy's rel_tol; when it did not,
-    the value and achieved bound are still valid and returned here rather
-    than raised, since downstream comparisons consume them directly.
-    bound_confirmed is None when confirm_by_doubling was off or the
-    doubling pass could not run within the budget.
+    tail_bound bounds |log(true/value)| (approximately the relative error),
+    rounding included.  converged means the bound met the policy's rel_tol
+    and the doubling check did not fail; when it did not, the value and
+    achieved bound are still valid and returned here rather than raised,
+    since downstream comparisons consume them directly.  bound_confirmed is
+    None when confirm_by_doubling was off or the doubling pass could not run
+    within the budget.  stop says why the driver stopped: "tolerance",
+    "budget" or "doubling-failed".
     """
 
     value: float
@@ -139,6 +145,7 @@ class ProductResult:
     terms_used: int
     converged: bool
     bound_confirmed: bool | None
+    stop: str
 
 
 @dataclass(frozen=True)
@@ -147,57 +154,117 @@ class _LogSum:
     terms: int
     tail_bound: float
     confirmed: bool | None
+    stop: str
 
 
-_FIRST_BLOCK = 1024
-_MAX_BLOCK = 1 << 18
+EPS = 2.0**-52
+
+# The head the driver sums before its first estimate, and the number of
+# Bernoulli corrections in every Euler-Maclaurin tail.
+FIRST_HEAD = 32
+EM_ORDER = 5
+
+# Rounding allowance: summing N head terms costs at most (N + _ROUNDING_ULPS)
+# ulp of the sum of their sizes, and evaluating a tail at most _ROUNDING_ULPS
+# ulp of the sum of its pieces' sizes.  The constant covers each term's own
+# few-ulp error and the error in the roots the tails are built from.
+_ROUNDING_ULPS = 32
+
+# B_{2j}/((2j)(2j-1)) for j = 1..EM_ORDER: the Euler-Maclaurin weights of
+# d^{2j-1}/dx^{2j-1} log(x+c) = (2j-2)! (x+c)^{1-2j}; and |B_12|/(12*11),
+# the weight of the first omitted term, which bounds the remainder.
+_LOG_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+_LOG_EM_REMAINDER = 691.0 / 360360.0
 
 
-def run_truncated_log_sum(chunk, policy: TruncationPolicy) -> _LogSum:
-    """Accumulate ``chunk(k_lo, k_hi) -> (partial, last_abs)`` under a policy.
+def rounding_allowance(scale: float) -> float:
+    """A bound on the rounding error of a tail whose pieces add up to ``scale`` in size."""
+    return _ROUNDING_ULPS * EPS * scale
 
-    The per-index magnitudes are assumed to decay like C/k^2, so the tail
-    beyond index K is bounded by 2*K*|last term at K| (an empirical factor-2
-    cushion on the C/K tail of the exact series).  Stops early once that
-    bound reaches rel_tol; otherwise runs to the budget.  With
-    confirm_by_doubling the budget is split so the confirmation pass at 2K
-    stays inside max_terms, and the observed segment sum over (K, 2K] is
-    checked against the claimed bound.
+
+def log_pair_tail(x0: float, pairs) -> tuple[float, float]:
+    """Certified sum over k >= x0 of sum over (u, v, d) in pairs of log((k+u)/(k+v)).
+
+    d is u - v, passed as computed from the series' own formula rather
+    than by subtraction; the d must add up to exactly zero, which makes the
+    sum converge.  Every x0 + u and x0 + v must be positive.  Euler-Maclaurin
+    summation (DLMF 2.10) with EM_ORDER Bernoulli corrections gives the
+    value; each log(x+c) has derivatives of alternating sign, so the
+    remainder is bounded by the first omitted term.  Returns (value, bound),
+    the bound including the rounding of the evaluation.
     """
-    base_budget = policy.max_terms // 2 if policy.confirm_by_doubling else policy.max_terms
-    base_budget = max(base_budget, 1)
+    value = 0.0
+    scale = 0.0
+    remainder = 0.0
+    for u, v, d in pairs:
+        xu = x0 + u
+        xv = x0 + v
+        # integral over [x0, inf) plus half the first term; the d*log
+        # pieces' divergent parts cancel because the d add up to zero
+        main = -(xu - 0.5) * math.log1p(d / xv)
+        drift = -d * math.log(xv)
+        value += main + drift
+        scale += abs(main) + abs(drift)
+        wu = 1.0 / xu
+        wv = 1.0 / xv
+        wu2 = wu * wu
+        wv2 = wv * wv
+        for weight in _LOG_EM_WEIGHTS:
+            value -= weight * (wu - wv)
+            scale += abs(weight) * (wu + wv)
+            wu *= wu2
+            wv *= wv2
+        remainder += _LOG_EM_REMAINDER * (wu + wv)
+    return value, remainder + rounding_allowance(scale)
 
-    total = 0.0
-    k = 0
-    last = 0.0
-    block = _FIRST_BLOCK
-    while k < base_budget:
-        hi = min(k + block, base_budget)
-        partial, last = chunk(k + 1, hi)
-        total += partial
-        k = hi
-        if 2.0 * k * last <= policy.rel_tol:
+
+def run_truncated_log_sum(chunk, tail, policy: TruncationPolicy) -> _LogSum:
+    """Sum a convergent series as a computed head plus a certified tail.
+
+    ``chunk(k_lo, k_hi) -> (partial, abs_partial)`` sums the terms
+    k_lo..k_hi and the sizes of those terms; ``tail(N) -> (value, bound)``
+    is the series' own certified sum over k > N, its bound covering the
+    truncation remainder and the tail's rounding.  The head length N starts
+    at FIRST_HEAD and doubles until the tail bound plus the head's rounding
+    allowance meets rel_tol, or until the budget runs out.  With
+    confirm_by_doubling the budget is halved so that a second estimate at
+    2N stays inside max_terms, and the two estimates must agree within the
+    sum of their bounds.  The estimate at N is returned; terms counts every
+    term summed.
+    """
+    budget = policy.max_terms // 2 if policy.confirm_by_doubling else policy.max_terms
+    budget = max(budget, 1)
+
+    head = abs_head = 0.0
+    summed = 0
+
+    def estimate(k: int) -> tuple[float, float]:
+        nonlocal head, abs_head, summed
+        partial, abs_partial = chunk(summed + 1, k)
+        head += partial
+        abs_head += abs_partial
+        summed = k
+        value, bound = tail(k)
+        return head + value, bound + (k + _ROUNDING_ULPS) * EPS * abs_head
+
+    k = min(FIRST_HEAD, budget)
+    while True:
+        total, bound = estimate(k)
+        if bound <= policy.rel_tol:
+            stop = "tolerance"
             break
-        block = min(block * 4, _MAX_BLOCK)
+        if k >= budget:
+            stop = "budget"
+            break
+        k = min(2 * k, budget)
 
-    bound_k = 2.0 * k * last
     if not policy.confirm_by_doubling or 2 * k > policy.max_terms:
-        return _LogSum(total, k, bound_k, None)
-
-    segment = 0.0
-    lo = k + 1
-    while lo <= 2 * k:
-        hi = min(lo + _MAX_BLOCK - 1, 2 * k)
-        partial, last = chunk(lo, hi)
-        segment += partial
-        lo = hi + 1
-    total += segment
-    terms = 2 * k
-    confirmed = abs(segment) <= bound_k + 1e-300
-    bound = 2.0 * terms * last
-    if not confirmed:
-        bound = max(bound, 2.0 * abs(segment))
-    return _LogSum(total, terms, bound, confirmed)
+        return _LogSum(total, k, bound, None, stop)
+    total2, bound2 = estimate(2 * k)
+    gap = abs(total2 - total)
+    if gap > bound + bound2:
+        return _LogSum(total, 2 * k, gap + bound2, False, "doubling-failed")
+    return _LogSum(total, 2 * k, bound, True, stop)
 
 
 def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_POLICY) -> ProductResult:
@@ -219,18 +286,39 @@ def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_P
     if s <= 0.0 and s == math.floor(s):
         raise ValueError(f"x + a = {s} is a nonpositive integer (gamma pole)")
     if a == 0.0:
-        return ProductResult(1.0, 0.0, 0, True, None)
+        return ProductResult(1.0, 0.0, 0, True, None, "tolerance")
 
-    negatives = 0
+    # Factor k is negative exactly while k + x + a - 1 < 0, and the log
+    # factors of those k can take either sign; from there on all of them
+    # have the sign of a*(x+a-1).  The mixed ones are summed one by one for
+    # their sizes.
+    mixed = max(0, math.floor(1.0 - x - a))
 
     def chunk(k_lo: int, k_hi: int):
-        nonlocal negatives
-        partial, neg, last = gamma_ratio_log(x, a, k_lo, k_hi)
-        negatives += neg
-        return partial, last
+        partial = abs_partial = 0.0
+        for k in range(k_lo, min(k_hi, mixed) + 1):
+            term, _, _ = gamma_ratio_log(x, a, k, k)
+            partial += term
+            abs_partial += abs(term)
+        if k_hi > mixed:
+            term, _, _ = gamma_ratio_log(x, a, max(k_lo, mixed + 1), k_hi)
+            partial += term
+            abs_partial += abs(term)
+        return partial, abs_partial
 
-    out = run_truncated_log_sum(chunk, policy)
-    sign = -1.0 if negatives % 2 else 1.0
+    # log factor k = log(k/(k-a)) + log((k+x-1)/(k+x+a-1)); the tail's
+    # arguments must stay >= 1, so the head covers k <= 1 - x - a at least.
+    pairs = ((0.0, -a, a), (x - 1.0, x + a - 1.0, -a))
+    lowest = min(-a, x - 1.0, x + a - 1.0)
+
+    def tail(k: int):
+        x0 = k + 1.0
+        if x0 + lowest < 1.0:
+            return 0.0, math.inf
+        return log_pair_tail(x0, pairs)
+
+    out = run_truncated_log_sum(chunk, tail, policy)
+    sign = -1.0 if mixed % 2 else 1.0
     value = sign * math.exp(out.total)
     converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
-    return ProductResult(value, out.tail_bound, out.terms, converged, out.confirmed)
+    return ProductResult(value, out.tail_bound, out.terms, converged, out.confirmed, out.stop)

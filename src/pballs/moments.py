@@ -10,7 +10,11 @@ and y in B_q^n (q the Hoelder conjugate).  Routes implemented here:
 * infinite product:  f = (n/9) * prod_k  g_k(1,t) g_k(n+2,t)
                                         / (g_k(3,t) g_k(n,t)),
   where g_k(m,t) = k^2 + mk + m^2 t and t = 1/(pq) in [0, 1/4].  The
-  product telescopes to exact closed forms at t = 0 and t = 1/4.
+  product telescopes to exact closed forms at t = 0 and t = 1/4.  In
+  between, g_k(m,t) = (k + ma)(k + mb) with a = 2t/(1 + sqrt(1-4t)) and
+  b = 1 - a, so each log factor is a sum of differences of logs of linear
+  terms, and the tail beyond a short head is summed in closed form with a
+  certified Euler-Maclaurin remainder.
 
 The sign of df/dt is decided by the series of per-factor log derivatives
 (``derivative_sign_series``), and the per-term polynomial inequality that
@@ -26,7 +30,16 @@ import math
 from dataclasses import dataclass
 
 from ._kernels import ineq3_min, moment_product_log, sign_series_sum
-from .gamma_core import DEFAULT_POLICY, TruncationPolicy, ln_gamma, run_truncated_log_sum
+from .gamma_core import (
+    DEFAULT_POLICY,
+    EM_ORDER,
+    EPS,
+    TruncationPolicy,
+    ln_gamma,
+    log_pair_tail,
+    rounding_allowance,
+    run_truncated_log_sum,
+)
 from .pball import Exponent, as_exponent, check_dimension
 
 __all__ = [
@@ -40,6 +53,7 @@ __all__ = [
     "f_endpoint",
     "f_gamma",
     "f_product",
+    "routes_agree",
     "gk_ratio_product",
     "derivative_sign_series",
     "per_term_positivity",
@@ -58,6 +72,16 @@ ZERO_TOL = 1e-12
 # Comparison slack for monotonicity verdicts along closed-form scans.
 MONOTONE_TOL = 1e-12
 
+# The closed form adds ln n and eight ln Gamma values and exponentiates: its
+# relative error is a few ulp of the sum of those terms' sizes.
+GAMMA_ROUNDING_ULPS = 16.0
+
+# B_{2j}/(2j) for j = 1..EM_ORDER, the Euler-Maclaurin weights of
+# G^{(2j-1)}/(2j-1)! in the derivative-sign tail, and |B_12|/12 for the
+# first omitted term.
+_SIGN_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
+_SIGN_EM_REMAINDER = 691.0 / 32760.0
+
 
 class Route(enum.Enum):
     GAMMA_CLOSED_FORM = "gamma_closed_form"
@@ -75,10 +99,12 @@ class Sign(enum.Enum):
 class MomentResult:
     """A value of f(n, p) tagged with how it was computed.
 
-    error_estimate is an absolute bound: 0 for the exact closed forms,
+    error_estimate is an absolute bound: 0 for the exact closed forms at
+    the endpoints, the rounding bound of the gamma closed form elsewhere,
     value*expm1(log tail bound) for truncated products, one standard error
     for Monte Carlo.  converged is False when a truncated product missed
-    its policy target; the value and bound remain valid.
+    its policy target; the value and bound remain valid.  terms_used counts
+    the factors a truncated product summed explicitly.
     """
 
     value: float
@@ -87,6 +113,7 @@ class MomentResult:
     n: int
     exponent: Exponent
     converged: bool = True
+    terms_used: int = 0
 
 
 @dataclass(frozen=True)
@@ -155,39 +182,69 @@ def f_gamma(n, p) -> MomentResult:
     if e.is_endpoint:
         return MomentResult(f_endpoint(n), Route.GAMMA_CLOSED_FORM, 0.0, n, e)
     pp, qq = e.p, e.q
-    log_f = (
-        math.log(n)
-        + ln_gamma(3.0 / pp)
-        + ln_gamma(3.0 / qq)
-        + ln_gamma(1.0 + n / pp)
-        + ln_gamma(1.0 + n / qq)
-        - ln_gamma(1.0 / pp)
-        - ln_gamma(1.0 / qq)
-        - ln_gamma(1.0 + (n + 2) / pp)
-        - ln_gamma(1.0 + (n + 2) / qq)
-    )
-    return MomentResult(math.exp(log_f), Route.GAMMA_CLOSED_FORM, 0.0, n, e)
+    ln_n = math.log(n)
+    num = (ln_gamma(3.0 / pp), ln_gamma(3.0 / qq), ln_gamma(1.0 + n / pp), ln_gamma(1.0 + n / qq))
+    den = (ln_gamma(1.0 / pp), ln_gamma(1.0 / qq), ln_gamma(1.0 + (n + 2) / pp), ln_gamma(1.0 + (n + 2) / qq))
+    log_f = ln_n + num[0] + num[1] + num[2] + num[3] - den[0] - den[1] - den[2] - den[3]
+    value = math.exp(log_f)
+    scale = 2.0 + abs(ln_n) + sum(abs(v) for v in num + den)
+    error = GAMMA_ROUNDING_ULPS * EPS * scale * value
+    return MomentResult(value, Route.GAMMA_CLOSED_FORM, error, n, e)
+
+
+def routes_agree(fg: MomentResult, fp: MomentResult) -> bool:
+    """Whether the closed form and the product agree within their two bounds.
+
+    The verdict also requires an informative product bound, below the value
+    itself: a bound as large as the value agrees with anything.
+    """
+    gap = abs(fg.value - fp.value)
+    return gap <= fg.error_estimate + fp.error_estimate and fp.error_estimate < fp.value
+
+
+def _roots(t: float) -> tuple[float, float, float]:
+    """(s, a, b) with s = sqrt(1-4t), a = 2t/(1+s), b = 1-a: g_k(m,t) = (k+ma)(k+mb)."""
+    s = math.sqrt(1.0 - 4.0 * t)
+    a = 2.0 * t / (1.0 + s)
+    return s, a, 1.0 - a
 
 
 def _gk_log_product(n: int, t: float, policy: TruncationPolicy):
-    """Truncated log of prod_k g_k(1)g_k(n+2)/(g_k(3)g_k(n)) at parameter t."""
+    """Log of prod_k g_k(1)g_k(n+2)/(g_k(3)g_k(n)) at t in (0, 1/4], head plus tail."""
 
     def chunk(k_lo: int, k_hi: int):
-        return moment_product_log(float(n), t, k_lo, k_hi)
+        # every log factor is <= 0 for t <= 1/2, so |partial| is the size
+        partial, _ = moment_product_log(float(n), t, k_lo, k_hi)
+        return partial, abs(partial)
 
-    return run_truncated_log_sum(chunk, policy)
+    _, a, b = _roots(t)
+    # log g_k(1)/g_k(3) and log g_k(n+2)/g_k(n), each root by root
+    pairs = (
+        (a, 3.0 * a, -2.0 * a),
+        (b, 3.0 * b, -2.0 * b),
+        ((n + 2) * a, n * a, 2.0 * a),
+        ((n + 2) * b, n * b, 2.0 * b),
+    )
+
+    def tail(k: int):
+        if n == 1:
+            return 0.0, 0.0  # {1, 3} = {n, n+2}: every factor is exactly 1
+        return log_pair_tail(k + 1.0, pairs)
+
+    return run_truncated_log_sum(chunk, tail, policy)
 
 
 def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY):
     """P(tau) = prod_k g_k(1,tau)g_k(n+2,tau)/(g_k(3,tau)g_k(n,tau)).
 
+    Defined for tau in [0, 1/4], where the quadratics have real roots.
     Telescoped exact values at the ends: P(0) = 6/((n+1)(n+2)) and
     P(1/4) = 9/(n+2)^2.  Returns (value, log tail bound, terms, confirmed).
     """
     n = check_dimension(n)
     tau = float(tau)
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not (0.0 <= tau <= 0.25):
+        raise ValueError(f"tau must lie in [0, 1/4], got {tau}")
     if tau == 0.0:
         return 6.0 / ((n + 1) * (n + 2)), 0.0, 0, None
     if tau == 0.25:
@@ -200,10 +257,11 @@ def f_product(n, p, policy: TruncationPolicy = DEFAULT_POLICY) -> MomentResult:
     """f(n, p) from the infinite product over the g_k quadratics.
 
     At t = 0 and t = 1/4 the telescoped closed forms are returned exactly
-    (error_estimate 0).  Otherwise the truncated product is returned with
-    an absolute error bound derived from the 1/k^2 decay of the log
-    factors; converged=False flags a bound still above policy.rel_tol at
-    the term budget.
+    (error_estimate 0).  Otherwise the head of the product is summed term
+    by term and the tail in closed form, and error_estimate is an absolute
+    bound from the certified Euler-Maclaurin remainder plus rounding;
+    converged=False flags a bound still above policy.rel_tol at the term
+    budget.
     """
     n = check_dimension(n)
     e = as_exponent(p)
@@ -215,7 +273,37 @@ def f_product(n, p, policy: TruncationPolicy = DEFAULT_POLICY) -> MomentResult:
     value = (n / 9.0) * math.exp(out.total)
     error = value * math.expm1(out.tail_bound)
     converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
-    return MomentResult(value, Route.INFINITE_PRODUCT, error, n, e, converged)
+    return MomentResult(value, Route.INFINITE_PRODUCT, error, n, e, converged, out.terms)
+
+
+def _sign_tail_piece(m: float, s: float, a: float, b: float, x0: float):
+    """Euler-Maclaurin sum over k >= x0 of G_m(k) = m^2/((k+ma)(k+mb)).
+
+    Returns (value, remainder bound, size of the pieces).  G_m is completely
+    monotone, so the first omitted term bounds the remainder; its
+    derivatives are G^(r)(x) = (-1)^r r! m^2 sum_{i=0..r} (x+ma)^(-i-1) (x+mb)^(i-r-1).
+    """
+    xa = x0 + m * a
+    xb = x0 + m * b
+    u = m * s / xa
+    # integral over [x0, inf): m/s * log1p(u), with log1p(u)/u -> 1 at s = 0
+    integral = m * m / xa * (math.log1p(u) / u if u else 1.0)
+    # h_r = sum_{i=0..r} xa^-i xb^(i-r), so that G^(r) = (-1)^r r! m^2 h_r/(xa xb)
+    pa = 1.0 / xa
+    pb = 1.0 / xb
+    unit = m * m * pa * pb
+    value = integral + 0.5 * unit
+    scale = abs(integral) + 0.5 * unit
+    h = [1.0]
+    pb_r = 1.0
+    for _ in range(2 * EM_ORDER + 1):
+        pb_r *= pb
+        h.append(pa * h[-1] + pb_r)
+    for j, weight in enumerate(_SIGN_EM_WEIGHTS):
+        piece = weight * unit * h[2 * j + 1]
+        value += piece
+        scale += abs(piece)
+    return value, _SIGN_EM_REMAINDER * unit * h[2 * EM_ORDER + 1], scale
 
 
 def derivative_sign_series(n, t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> SignReport:
@@ -225,7 +313,10 @@ def derivative_sign_series(n, t: float, policy: TruncationPolicy = DEFAULT_POLIC
     (as produced by differentiating each log factor in t).  The series is
     identically zero for n = 1 since {1, 3} = {n, n+2} there; for n >= 2
     the sum is positive on (0, 1/4] even though individual terms need not
-    be (all_terms_positive reports what was actually observed).
+    be (all_terms_positive reports what was actually observed).  The tail
+    beyond the head is the Euler-Maclaurin sum of m^2/((k+ma)(k+mb)), with
+    g_k(m,t) = (k+ma)(k+mb); tail_bound bounds the absolute error of
+    series_value.
     """
     n = check_dimension(n)
     t = float(t)
@@ -237,12 +328,22 @@ def derivative_sign_series(n, t: float, policy: TruncationPolicy = DEFAULT_POLIC
 
     def chunk(k_lo: int, k_hi: int):
         nonlocal abs_sum, min_term
-        total, abs_total, mn, last = sign_series_sum(float(n), t, k_lo, k_hi)
+        total, abs_total, mn, _ = sign_series_sum(float(n), t, k_lo, k_hi)
         abs_sum += abs_total
         min_term = min(min_term, mn)
-        return total, last
+        return total, abs_total
 
-    out = run_truncated_log_sum(chunk, policy)
+    s, a, b = _roots(t)
+
+    def tail(k: int):
+        x0 = k + 1.0
+        pieces = [_sign_tail_piece(float(m), s, a, b, x0) for m in (1, n, n + 2, 3)]
+        (v1, r1, s1), (vn, rn, sn), (vm, rm, sm), (v3, r3, s3) = pieces
+        # grouped so that the two differences vanish exactly at n = 1
+        value = (v1 - vn) + (vm - v3)
+        return value, r1 + rn + rm + r3 + rounding_allowance(s1 + sn + sm + s3)
+
+    out = run_truncated_log_sum(chunk, tail, policy)
     tol = ZERO_TOL * (1.0 + abs_sum)
     if abs(out.total) <= tol:
         sign = Sign.ZERO

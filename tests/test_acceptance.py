@@ -82,7 +82,7 @@ def test_criterion_02_endpoint_value(endpoints):
 
 def test_criterion_03_route_equivalence(routes):
     _assert_criterion(
-        3, "gamma route vs product route within reported bound + 1e-10 rel",
+        3, "gamma route vs product route within the sum of both reported bounds",
         [routes["route-equivalence"]],
     )
 

@@ -118,6 +118,14 @@ class TestScan:
         assert rows[1]["p"] == "inf"
         assert all(r["bound_ok"] is True for r in rows)
 
+    def test_large_dimensions_agree(self, capsys):
+        # both routes certified at n = 10^5..10^6: every row agrees, exit 0
+        code, out, _ = run_cli(capsys, "scan", "--n", "100000,1000000", "--p", "1.5,2,3")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(r[9] == "true" and r[10] == "true" for r in rows)
+
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--n", "5..2", "--p", "2")
         assert code == 2

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from pballs.gamma_core import (
     DEFAULT_POLICY,
+    FIRST_HEAD,
     TruncationPolicy,
     gamma_ratio_product,
     ln_beta,
     ln_gamma,
+    run_truncated_log_sum,
     signed_ln_gamma,
 )
 
@@ -100,6 +102,38 @@ class TestTruncationPolicy:
         assert TruncationPolicy(100).doubled().max_terms == 200
 
 
+def _telescoping_chunk(k_lo, k_hi):
+    # 1/(k(k+1)) = 1/k - 1/(k+1): the sum over k > N is exactly 1/(N+1)
+    partial = sum(1.0 / (k * (k + 1.0)) for k in range(k_lo, k_hi + 1))
+    return partial, partial
+
+
+class TestTruncationDriver:
+    def test_exact_tail_meets_tolerance_at_first_head(self):
+        out = run_truncated_log_sum(_telescoping_chunk, lambda n: (1.0 / (n + 1.0), 0.0), DEFAULT_POLICY)
+        assert out.stop == "tolerance"
+        assert out.confirmed is True
+        assert out.terms == 2 * FIRST_HEAD
+        assert abs(out.total - 1.0) <= out.tail_bound
+
+    def test_budget_stop_without_doubling(self):
+        # a tail that certifies nothing: the head doubles up to the budget
+        out = run_truncated_log_sum(
+            _telescoping_chunk, lambda n: (0.0, math.inf), TruncationPolicy(100, 1e-10, False)
+        )
+        assert out.stop == "budget"
+        assert out.confirmed is None
+        assert out.terms == 100
+        assert math.isinf(out.tail_bound)
+
+    def test_wrong_tail_fails_the_doubling_check(self):
+        # claiming a zero tail is refuted by the terms between N and 2N
+        out = run_truncated_log_sum(_telescoping_chunk, lambda n: (0.0, 0.0), DEFAULT_POLICY)
+        assert out.stop == "doubling-failed"
+        assert out.confirmed is False
+        assert out.tail_bound >= abs(out.total - 1.0) - 1.0 / (2 * FIRST_HEAD + 1)
+
+
 def _factor(x, a, k):
     return (k * (k + x - 1.0)) / ((k - a) * (k + x + a - 1.0))
 
@@ -137,9 +171,11 @@ class TestGammaRatioProduct:
             gamma_ratio_product(x, a)
 
     def test_unreached_tolerance_is_flagged_not_raised(self):
-        out = gamma_ratio_product(10.0, 0.9, TruncationPolicy(2_000, 1e-12))
+        # a budget below the first head length leaves a tail bound of ~1e-10
+        out = gamma_ratio_product(10.0, 0.9, TruncationPolicy(8, 1e-12))
         assert not out.converged
-        assert out.terms_used <= 2_000
+        assert out.stop == "budget"
+        assert out.terms_used <= 8
         assert out.tail_bound > 1e-12
         ref_log = ln_gamma(0.1) + ln_gamma(10.9) - ln_gamma(10.0)
         assert abs(math.log(out.value) - ref_log) <= out.tail_bound
@@ -154,8 +190,9 @@ class TestGammaRatioProduct:
         assert confirmed.bound_confirmed is True
         plain = gamma_ratio_product(2.0, 0.5, TruncationPolicy(10_000, 1e-10, False))
         assert plain.bound_confirmed is None
-        assert plain.terms_used == 10_000
-        assert confirmed.terms_used == 10_000  # doubling stays inside the budget
+        assert plain.terms_used <= 10_000
+        assert confirmed.terms_used <= 10_000  # doubling stays inside the budget
+        assert confirmed.terms_used == 2 * plain.terms_used
 
     def test_factor_sanity(self):
         # factors tend to 1; they are positive throughout whenever x + a > 0,
