@@ -6,7 +6,6 @@ product, Monte Carlo) and machine-checks the identities, monotonicity
 claims, and the conjectured ceiling n/(n+2)^2 relating them.
 """
 
-from ._kernels import BACKEND
 from .gamma_core import (
     DEFAULT_POLICY,
     ProductResult,
@@ -53,7 +52,6 @@ from .verify import SUITE_NAMES, Check, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Check",
     "ComparatorResult",
     "DEFAULT_POLICY",

@@ -1,10 +1,9 @@
-"""Pure NumPy implementation of the hot inner-loop kernels.
+"""The inner-loop kernels, in NumPy.
 
 Each function sums or scans a contiguous index range [k_lo, k_hi] in one
 vectorized pass.  The truncation driver asks for a few dozen indices per
 call (its head), and more only when a tolerance below the rounding floor
-sends it to the budget.  Formulas mirror
-the compiled backend so the two stay numerically interchangeable.
+sends it to the budget.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Reference-accuracy log-gamma/log-beta and a truncated gamma-ratio product.
+"""Log-gamma/log-beta and a truncated gamma-ratio product.
 
 The gamma ratio Gamma(1-a)*Gamma(x+a)/Gamma(x) admits the product
 representation
@@ -11,8 +11,8 @@ series as a short head of explicit terms plus a tail over k > N in closed
 form: Euler-Maclaurin summation (DLMF 2.10) with a certified remainder,
 plus an allowance for rounding.  ``gamma_ratio_product`` evaluates the
 product that way under a :class:`TruncationPolicy` and reports the bound
-next to the value; ``ln_gamma`` (a Lanczos g=7 scheme) provides the
-independent route the product is checked against.
+next to the value; ``ln_gamma`` (the standard library's ``math.lgamma``)
+provides the independent route the product is checked against.
 """
 
 from __future__ import annotations
@@ -32,25 +32,9 @@ __all__ = [
     "gamma_ratio_product",
 ]
 
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Lanczos coefficients for g = 7, N = 9 (Godfrey's set); accurate to a few
-# ulp over the positive axis.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
+    """Natural log of the gamma function for x > 0, by ``math.lgamma``.
 
     Raises ValueError for x <= 0 (see :func:`signed_ln_gamma` for the
     negative axis).
@@ -58,15 +42,7 @@ def ln_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # One recurrence step keeps the Lanczos sum in its sweet spot.
-        return ln_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (z + i)
-    base = z + 7.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(base) - base + math.log(acc)
+    return math.lgamma(x)
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -79,23 +55,15 @@ def ln_beta(a: float, b: float) -> float:
 def signed_ln_gamma(x: float) -> tuple[float, float]:
     """(sign, log|Gamma(x)|) for any real x that is not a nonpositive integer.
 
-    Negative arguments are lifted to the positive axis by the recurrence
-    Gamma(x) = Gamma(x+1)/x, tracking the sign of each divisor.
+    On the negative axis Gamma(x) is negative exactly where floor(x) is odd,
+    and ``math.lgamma`` already returns log|Gamma(x)|.
     """
     x = float(x)
     if x > 0.0:
         return 1.0, ln_gamma(x)
     if x == math.floor(x):
         raise ValueError(f"Gamma pole at nonpositive integer x = {x}")
-    sign = 1.0
-    acc = 0.0
-    s = x
-    while s < 0.5:
-        acc -= math.log(abs(s))
-        if s < 0.0:
-            sign = -sign
-        s += 1.0
-    return sign, acc + ln_gamma(s)
+    return (-1.0 if math.floor(x) % 2 else 1.0), math.lgamma(x)
 
 
 @dataclass(frozen=True)

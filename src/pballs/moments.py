@@ -34,6 +34,7 @@ from .gamma_core import (
     DEFAULT_POLICY,
     EM_ORDER,
     EPS,
+    ProductResult,
     TruncationPolicy,
     ln_gamma,
     log_pair_tail,
@@ -209,15 +210,30 @@ def _roots(t: float) -> tuple[float, float, float]:
     return s, a, 1.0 - a
 
 
-def _gk_log_product(n: int, t: float, policy: TruncationPolicy):
-    """Log of prod_k g_k(1)g_k(n+2)/(g_k(3)g_k(n)) at t in (0, 1/4], head plus tail."""
+def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY) -> ProductResult:
+    """P(tau) = prod_k g_k(1,tau)g_k(n+2,tau)/(g_k(3,tau)g_k(n,tau)).
+
+    Defined for tau in [0, 1/4], where the quadratics have real roots.
+    Telescoped exact values at the ends: P(0) = 6/((n+1)(n+2)) and
+    P(1/4) = 9/(n+2)^2.  In between, the head of the product is summed
+    term by term and the tail in closed form; tail_bound bounds
+    |log(true/value)|.
+    """
+    n = check_dimension(n)
+    tau = float(tau)
+    if not (0.0 <= tau <= 0.25):
+        raise ValueError(f"tau must lie in [0, 1/4], got {tau}")
+    if tau == 0.0:
+        return ProductResult(6.0 / ((n + 1) * (n + 2)), 0.0, 0, True, None, "tolerance")
+    if tau == 0.25:
+        return ProductResult(9.0 / ((n + 2) ** 2), 0.0, 0, True, None, "tolerance")
 
     def chunk(k_lo: int, k_hi: int):
         # every log factor is <= 0 for t <= 1/2, so |partial| is the size
-        partial, _ = moment_product_log(float(n), t, k_lo, k_hi)
+        partial, _ = moment_product_log(float(n), tau, k_lo, k_hi)
         return partial, abs(partial)
 
-    _, a, b = _roots(t)
+    _, a, b = _roots(tau)
     # log g_k(1)/g_k(3) and log g_k(n+2)/g_k(n), each root by root
     pairs = (
         (a, 3.0 * a, -2.0 * a),
@@ -231,37 +247,19 @@ def _gk_log_product(n: int, t: float, policy: TruncationPolicy):
             return 0.0, 0.0  # {1, 3} = {n, n+2}: every factor is exactly 1
         return log_pair_tail(k + 1.0, pairs)
 
-    return run_truncated_log_sum(chunk, tail, policy)
-
-
-def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY):
-    """P(tau) = prod_k g_k(1,tau)g_k(n+2,tau)/(g_k(3,tau)g_k(n,tau)).
-
-    Defined for tau in [0, 1/4], where the quadratics have real roots.
-    Telescoped exact values at the ends: P(0) = 6/((n+1)(n+2)) and
-    P(1/4) = 9/(n+2)^2.  Returns (value, log tail bound, terms, confirmed).
-    """
-    n = check_dimension(n)
-    tau = float(tau)
-    if not (0.0 <= tau <= 0.25):
-        raise ValueError(f"tau must lie in [0, 1/4], got {tau}")
-    if tau == 0.0:
-        return 6.0 / ((n + 1) * (n + 2)), 0.0, 0, None
-    if tau == 0.25:
-        return 9.0 / ((n + 2) ** 2), 0.0, 0, None
-    out = _gk_log_product(n, tau, policy)
-    return math.exp(out.total), out.tail_bound, out.terms, out.confirmed
+    out = run_truncated_log_sum(chunk, tail, policy)
+    converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
+    return ProductResult(math.exp(out.total), out.tail_bound, out.terms, converged, out.confirmed, out.stop)
 
 
 def f_product(n, p, policy: TruncationPolicy = DEFAULT_POLICY) -> MomentResult:
     """f(n, p) from the infinite product over the g_k quadratics.
 
     At t = 0 and t = 1/4 the telescoped closed forms are returned exactly
-    (error_estimate 0).  Otherwise the head of the product is summed term
-    by term and the tail in closed form, and error_estimate is an absolute
-    bound from the certified Euler-Maclaurin remainder plus rounding;
-    converged=False flags a bound still above policy.rel_tol at the term
-    budget.
+    (error_estimate 0).  Otherwise f = (n/9) * gk_ratio_product(n, t), and
+    error_estimate is an absolute bound from the certified Euler-Maclaurin
+    remainder plus rounding; converged=False flags a bound still above
+    policy.rel_tol at the term budget.
     """
     n = check_dimension(n)
     e = as_exponent(p)
@@ -269,11 +267,10 @@ def f_product(n, p, policy: TruncationPolicy = DEFAULT_POLICY) -> MomentResult:
         return MomentResult(f_endpoint(n), Route.INFINITE_PRODUCT, 0.0, n, e)
     if e.t == 0.25:
         return MomentResult(n / ((n + 2) ** 2), Route.INFINITE_PRODUCT, 0.0, n, e)
-    out = _gk_log_product(n, e.t, policy)
-    value = (n / 9.0) * math.exp(out.total)
+    out = gk_ratio_product(n, e.t, policy)
+    value = (n / 9.0) * out.value
     error = value * math.expm1(out.tail_bound)
-    converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
-    return MomentResult(value, Route.INFINITE_PRODUCT, error, n, e, converged, out.terms)
+    return MomentResult(value, Route.INFINITE_PRODUCT, error, n, e, out.converged, out.terms_used)
 
 
 def _sign_tail_piece(m: float, s: float, a: float, b: float, x0: float):
@@ -388,15 +385,13 @@ def per_term_minimum(n, t: float, k_max: int):
     return ineq3_min(float(n), float(t), 1, int(k_max))
 
 
-def monotonicity_scan(n, grid, policy: TruncationPolicy | None = None) -> MonotonicityScan:
+def monotonicity_scan(n, grid) -> MonotonicityScan:
     """Evaluate f along an increasing exponent grid in [1, 2] and judge ordering.
 
     The sequence must be nondecreasing within MONOTONE_TOL; for n >= 2 it
     must be strictly increasing (gap > MONOTONE_TOL) at every step whose
-    upper exponent is below 2.  ``policy`` is accepted for interface
-    symmetry with the product routes; the closed form needs none.
+    upper exponent is below 2.
     """
-    del policy
     n = check_dimension(n)
     exps = [as_exponent(p) for p in grid]
     if len(exps) < 2:
@@ -457,14 +452,13 @@ def bound_comparator(n, r, s, policy: TruncationPolicy = DEFAULT_POLICY) -> Comp
     else:
         raise ValueError(f"(r, s) = ({r}, {s}) straddles 2; both must lie on one side")
 
-    def tau(x: float) -> float:
-        return 0.0 if math.isinf(x) else (x - 1.0) / (x * x)
-
-    tau_r, tau_s = tau(r), tau(s)
-    p_r, bound_r, _, _ = gk_ratio_product(n, tau_r, policy)
-    p_s, bound_s, _, _ = gk_ratio_product(n, tau_s, policy)
-    verdict = p_r < p_s if expected == "less" else p_r > p_s
-    return ComparatorResult(p_r, p_s, tau_r, tau_s, expected, verdict, bound_r, bound_s)
+    tau_r, tau_s = as_exponent(r).t, as_exponent(s).t
+    p_r = gk_ratio_product(n, tau_r, policy)
+    p_s = gk_ratio_product(n, tau_s, policy)
+    verdict = p_r.value < p_s.value if expected == "less" else p_r.value > p_s.value
+    return ComparatorResult(
+        p_r.value, p_s.value, tau_r, tau_s, expected, verdict, p_r.tail_bound, p_s.tail_bound
+    )
 
 
 def remark_limit_check(n, q_large: float) -> float:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import moment_product_log
 from .gamma_core import (
     DEFAULT_POLICY,
     TruncationPolicy,
@@ -200,27 +199,20 @@ def suite_routes(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]:
 # --------------------------------------------------------------------------
 # monotonicity / bound / derivative signs
 
-def _fixed_terms_product_value(n: int, t: float, terms: int) -> float:
-    log_sum, _ = moment_product_log(float(n), t, 1, terms)
-    return (n / 9.0) * math.exp(log_sum)
-
-
 def _p_of_t(t: float) -> float:
     # root of t*p^2 - p + 1 = 0 in [1, 2], written without cancellation
     return 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * t))
 
 
 def _fd_derivative_sign(n: int, t: float, step: float = 1e-5) -> float:
-    """Central difference of f in t; the product route (fixed term count on
-    both sides, so truncation bias cancels) continues f past t = 1/4 where
-    no real exponent exists."""
+    """Difference of the closed form f across t: central over [t - step,
+    t + step], or backward over [t - 2*step, t] where t + step would pass
+    t = 1/4, beyond which no real exponent exists."""
     if t + step <= 0.25:
-        lo = f_gamma(n, _p_of_t(t - step)).value
-        hi = f_gamma(n, _p_of_t(t + step)).value
+        lo, hi = t - step, t + step
     else:
-        lo = _fixed_terms_product_value(n, t - step, 200_000)
-        hi = _fixed_terms_product_value(n, t + step, 200_000)
-    return hi - lo
+        lo, hi = t - 2.0 * step, t
+    return f_gamma(n, _p_of_t(hi)).value - f_gamma(n, _p_of_t(lo)).value
 
 
 def suite_monotonicity() -> list[Check]:
@@ -277,7 +269,7 @@ def suite_monotonicity() -> list[Check]:
     n1_ok = abs(n1.series_value) < 1e-12
     checks.append(_check(
         "derivative-sign", sign_ok and n1_ok,
-        "series sign vs central difference for n=2..20, t in {0.01,0.05,0.1,0.2,0.25}"
+        "series sign vs closed-form difference for n=2..20, t in {0.01,0.05,0.1,0.2,0.25}"
         + (f", disagreements {bad}" if bad else "")
         + f"; n=1 series value {n1.series_value:.3g}",
     ))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from pballs.gamma_core import (
     run_truncated_log_sum,
     signed_ln_gamma,
 )
+
+EPS = 2.0**-52
 
 
 class TestLnGamma:
@@ -30,11 +33,12 @@ class TestLnGamma:
         assert ln_gamma(x) == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
     def test_against_libm_over_wide_range(self):
-        # math.lgamma is an independent implementation (platform libm)
-        xs = [1e-3 * 10 ** (9 * i / 199) for i in range(200)]  # log-spaced to 1e6
-        for x in xs:
-            ref = math.lgamma(x)
-            assert abs(ln_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref))
+        # ln_gamma is math.lgamma; the reference is 40-digit mpmath
+        xs = [1e-17 * 10 ** (23 * i / 199) for i in range(200)]  # log-spaced to 1e6
+        with mpmath.workdps(40):
+            for x in xs:
+                ref = mpmath.loggamma(x)
+                assert abs(ln_gamma(x) - ref) <= 8 * EPS * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
     def test_domain_error(self, x):
@@ -75,6 +79,17 @@ class TestSignedLnGamma:
         ref = math.gamma(x)
         assert sign == math.copysign(1.0, ref)
         assert log_abs == pytest.approx(math.log(abs(ref)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(30))
+    def test_negative_axis_against_mpmath(self, k):
+        # one point inside each interval (-k-1, -k), where sign(Gamma) = (-1)^(k+1)
+        x = -k - (k + 1) / 32
+        sign, log_abs = signed_ln_gamma(x)
+        with mpmath.workdps(40):
+            ref = mpmath.gamma(x)
+            assert sign == (1.0 if ref > 0 else -1.0) == (-1.0) ** (k + 1)
+            ref_log = mpmath.log(abs(ref))
+            assert abs(log_abs - ref_log) <= 8 * EPS * max(1.0, abs(ref_log))
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
     def test_pole(self, x):

@@ -1,13 +1,10 @@
-"""Backend parity and independent-reference checks for the inner-loop kernels."""
+"""The inner-loop kernels against direct pure-Python reference loops."""
 
 import math
 
 import pytest
 
-from pballs._kernels import BACKEND, available_backends
-
-BACKENDS = available_backends()
-PARAM_BACKENDS = pytest.mark.parametrize("impl", list(BACKENDS.values()), ids=list(BACKENDS))
+from pballs import _kernels as kernels
 
 
 def _g(k, m, t):
@@ -52,81 +49,49 @@ def ref_ineq3(k, n, t):
     return n * n * g3 * gm * (gn - g1) + gn * ((n + 2.0) ** 2 * g1 * g3 - 9.0 * gm)
 
 
-@PARAM_BACKENDS
 class TestAgainstDirectReference:
-    def test_moment_product_log(self, impl):
+    def test_moment_product_log(self):
         for n, t in [(2.0, 0.1), (7.0, 0.25), (50.0, 0.01)]:
-            got, last = impl.moment_product_log(n, t, 1, 500)
+            got, last = kernels.moment_product_log(n, t, 1, 500)
             assert got == pytest.approx(ref_moment_product_log(n, t, 1, 500), rel=1e-11, abs=1e-13)
             assert last > 0.0
 
-    def test_gamma_ratio_log(self, impl):
+    def test_gamma_ratio_log(self):
         for x, a in [(1.0, 0.5), (0.1, -0.9), (10.0, 0.9), (2.0, -0.5)]:
-            got, neg, last = impl.gamma_ratio_log(x, a, 1, 500)
+            got, neg, last = kernels.gamma_ratio_log(x, a, 1, 500)
             ref, ref_neg = ref_gamma_ratio_log(x, a, 1, 500)
             assert got == pytest.approx(ref, rel=1e-11, abs=1e-13)
             assert neg == ref_neg
             assert last >= 0.0
 
-    def test_negative_factor_is_counted_once(self, impl):
-        _, neg, _ = impl.gamma_ratio_log(0.1, -0.9, 1, 100)
+    def test_negative_factor_is_counted_once(self):
+        _, neg, _ = kernels.gamma_ratio_log(0.1, -0.9, 1, 100)
         assert neg == 1  # only k = 1 has x + a - 1 + k < 0
 
-    def test_sign_series_sum(self, impl):
+    def test_sign_series_sum(self):
         for n, t in [(1.0, 0.2), (2.0, 0.25), (10.0, 0.05)]:
-            got, abs_sum, mn, last = impl.sign_series_sum(n, t, 1, 400)
+            got, abs_sum, mn, last = kernels.sign_series_sum(n, t, 1, 400)
             assert got == pytest.approx(ref_sign_series(n, t, 1, 400), rel=1e-9, abs=1e-12)
             assert abs_sum >= abs(got) - 1e-15
             assert mn <= got or n == 1.0
 
-    def test_sign_series_exact_zero_at_n1(self, impl):
-        got, abs_sum, _, last = impl.sign_series_sum(1.0, 0.17, 1, 1000)
+    def test_sign_series_exact_zero_at_n1(self):
+        got, abs_sum, _, last = kernels.sign_series_sum(1.0, 0.17, 1, 1000)
         assert got == 0.0
         assert abs_sum == 0.0
         assert last == 0.0
 
-    def test_ineq3_min(self, impl):
-        mn, arg = impl.ineq3_min(2.0, 0.25, 1, 200)
+    def test_ineq3_min(self):
+        mn, arg = kernels.ineq3_min(2.0, 0.25, 1, 200)
         ref = min((ref_ineq3(k, 2.0, 0.25), k) for k in range(1, 201))
         assert mn == pytest.approx(ref[0], rel=1e-12)
         assert arg == ref[1]
 
-    def test_empty_ranges(self, impl):
-        assert impl.moment_product_log(2.0, 0.1, 5, 4) == (0.0, 0.0)
-        assert impl.gamma_ratio_log(1.0, 0.5, 5, 4) == (0.0, 0, 0.0)
-        total, abs_sum, mn, last = impl.sign_series_sum(2.0, 0.1, 5, 4)
+    def test_empty_ranges(self):
+        assert kernels.moment_product_log(2.0, 0.1, 5, 4) == (0.0, 0.0)
+        assert kernels.gamma_ratio_log(1.0, 0.5, 5, 4) == (0.0, 0, 0.0)
+        total, abs_sum, mn, last = kernels.sign_series_sum(2.0, 0.1, 5, 4)
         assert (total, abs_sum, last) == (0.0, 0.0, 0.0)
         assert math.isinf(mn)
-        mn, _ = impl.ineq3_min(2.0, 0.1, 5, 4)
+        mn, _ = kernels.ineq3_min(2.0, 0.1, 5, 4)
         assert math.isinf(mn)
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-class TestBackendParity:
-    def test_moment_product_log(self):
-        a = BACKENDS["compiled"].moment_product_log(20.0, 0.16, 1, 200_000)
-        b = BACKENDS["python"].moment_product_log(20.0, 0.16, 1, 200_000)
-        assert a[0] == pytest.approx(b[0], rel=1e-12, abs=1e-14)
-        assert a[1] == pytest.approx(b[1], rel=1e-12)
-
-    def test_gamma_ratio_log(self):
-        a = BACKENDS["compiled"].gamma_ratio_log(0.1, -0.9, 1, 100_000)
-        b = BACKENDS["python"].gamma_ratio_log(0.1, -0.9, 1, 100_000)
-        assert a[0] == pytest.approx(b[0], rel=1e-12, abs=1e-14)
-        assert a[1] == b[1]
-
-    def test_sign_series_sum(self):
-        a = BACKENDS["compiled"].sign_series_sum(7.0, 0.25, 1, 100_000)
-        b = BACKENDS["python"].sign_series_sum(7.0, 0.25, 1, 100_000)
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-        assert a[2] == pytest.approx(b[2], rel=1e-12)
-
-    def test_ineq3_min(self):
-        a = BACKENDS["compiled"].ineq3_min(50.0, 10.0, 1, 10_000)
-        b = BACKENDS["python"].ineq3_min(50.0, 10.0, 1, 10_000)
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-        assert a[1] == b[1]
-
-
-def test_selected_backend_is_exported():
-    assert BACKEND in BACKENDS

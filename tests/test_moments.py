@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pballs.gamma_core import TruncationPolicy
+from pballs.gamma_core import ProductResult, TruncationPolicy
 from pballs.moments import (
     Route,
     Sign,
@@ -133,8 +133,8 @@ class TestFProduct:
 class TestGkRatioProduct:
     def test_exact_ends(self):
         for n in (2, 5, 20):
-            assert gk_ratio_product(n, 0.0)[0] == 6.0 / ((n + 1) * (n + 2))
-            assert gk_ratio_product(n, 0.25)[0] == 9.0 / ((n + 2) ** 2)
+            for tau, exact in ((0.0, 6.0 / ((n + 1) * (n + 2))), (0.25, 9.0 / ((n + 2) ** 2))):
+                assert gk_ratio_product(n, tau) == ProductResult(exact, 0.0, 0, True, None, "tolerance")
 
     @pytest.mark.parametrize("tau", [-0.1, 0.26, 1.0])
     def test_tau_outside_real_roots_rejected(self, tau):
@@ -142,9 +142,10 @@ class TestGkRatioProduct:
             gk_ratio_product(3, tau)
 
     def test_matches_f_product_scaling(self):
-        value, bound, _, _ = gk_ratio_product(3, 0.2, FAST)
+        res = gk_ratio_product(3, 0.2, FAST)
         r = f_product(3, 2.0 / (1.0 + math.sqrt(1.0 - 0.8)), FAST)
-        assert (3.0 / 9.0) * value == pytest.approx(r.value, rel=1e-10)
+        assert (3.0 / 9.0) * res.value == pytest.approx(r.value, rel=1e-10)
+        assert res.converged and res.tail_bound <= FAST.rel_tol
 
 
 class TestDerivativeSignSeries:
