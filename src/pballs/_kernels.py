@@ -22,8 +22,10 @@ def moment_product_log(n: float, t: float, k_lo: int, k_hi: int):
     g_k(m,t) = k^2 + m*k + m^2*t.  The numerator-minus-denominator
     collapses to -2(n-1)*((1-2t)k^2 + (n+3)t k + 2(2n+1)t^2), which keeps
     the per-factor log free of cancellation and exactly zero at n=1.
+    Every factor is at most 1 for t <= 1/2, so |log_sum| is also the sum
+    of the terms' sizes.
 
-    Returns (log_sum, last_abs_log).
+    Returns (log_sum, abs_log_sum).
     """
     if k_hi < k_lo:
         return 0.0, 0.0
@@ -32,8 +34,8 @@ def moment_product_log(n: float, t: float, k_lo: int, k_hi: int):
     diff = -2.0 * (n - 1.0) * (
         (1.0 - 2.0 * t) * k * k + (n + 3.0) * t * k + 2.0 * (2.0 * n + 1.0) * t * t
     )
-    logs = np.log1p(diff / den)
-    return float(logs.sum()), abs(float(logs[-1]))
+    total = float(np.log1p(diff / den).sum())
+    return total, abs(total)
 
 
 def gamma_ratio_log(x: float, a: float, k_lo: int, k_hi: int):
@@ -41,13 +43,12 @@ def gamma_ratio_log(x: float, a: float, k_lo: int, k_hi: int):
 
     Factor k is k*(k+x-1) / ((k-a)*(k+x+a-1)); numerator minus denominator
     is the constant a*(x+a-1).  Factors can be negative for small k when
-    x+a < 0, so the count of negative factors is returned for sign
-    recovery.
+    x+a < 0; their sign is the caller's to recover.
 
-    Returns (log_abs_sum, negative_count, last_abs_log).
+    Returns (log_abs_sum, abs_log_sum), the second the sum of the terms' sizes.
     """
     if k_hi < k_lo:
-        return 0.0, 0, 0.0
+        return 0.0, 0.0
     k = _krange(k_lo, k_hi)
     shift = a * (x + a - 1.0)
     den = (k - a) * (k + x + a - 1.0)
@@ -55,13 +56,10 @@ def gamma_ratio_log(x: float, a: float, k_lo: int, k_hi: int):
         r = shift / den
         safe = (den > 0.0) & (np.abs(r) < 0.5)
         logs = np.where(safe, np.log1p(np.where(safe, r, 0.0)), 0.0)
-    neg = 0
     if not safe.all():
         rough = ~safe
-        fac = (k[rough] * (k[rough] + x - 1.0)) / den[rough]
-        neg = int((fac < 0.0).sum())
-        logs[rough] = np.log(np.abs(fac))
-    return float(logs.sum()), neg, abs(float(logs[-1]))
+        logs[rough] = np.log(np.abs((k[rough] * (k[rough] + x - 1.0)) / den[rough]))
+    return float(logs.sum()), float(np.abs(logs).sum())
 
 
 def sign_series_sum(n: float, t: float, k_lo: int, k_hi: int):
@@ -71,10 +69,10 @@ def sign_series_sum(n: float, t: float, k_lo: int, k_hi: int):
     regrouped as (n-1)*[((n+5)k^2+3(n+2)k)/(g3*g_{n+2})
     - ((n+1)k^2+nk)/(g1*g_n)] so that n=1 yields exact zeros.
 
-    Returns (sum, abs_sum, min_term, last_abs_term).
+    Returns (sum, abs_sum, min_term).
     """
     if k_hi < k_lo:
-        return 0.0, 0.0, np.inf, 0.0
+        return 0.0, 0.0, np.inf
     k = _krange(k_lo, k_hi)
     m = n + 2.0
     g1 = k * k + k + t
@@ -85,12 +83,7 @@ def sign_series_sum(n: float, t: float, k_lo: int, k_hi: int):
         ((n + 5.0) * k * k + 3.0 * m * k) / (g3 * gm)
         - ((n + 1.0) * k * k + n * k) / (g1 * gn)
     )
-    return (
-        float(terms.sum()),
-        float(np.abs(terms).sum()),
-        float(terms.min()),
-        abs(float(terms[-1])),
-    )
+    return float(terms.sum()), float(np.abs(terms).sum()), float(terms.min())
 
 
 def ineq3_min(n: float, t: float, k_lo: int, k_hi: int):

@@ -15,7 +15,15 @@ import sys
 from dataclasses import dataclass
 
 from .gamma_core import TruncationPolicy
-from .moments import f_gamma, f_product, kuperberg_bound, routes_agree
+from .moments import (
+    f_gamma,
+    f_product,
+    kuperberg_bound,
+    kuperberg_verdict,
+    mc_agrees,
+    monotone_verdict,
+    routes_agree,
+)
 from .montecarlo import MCConfig, estimate_f
 from .pball import as_exponent
 from .verify import SUITE_NAMES, run_suite
@@ -148,18 +156,16 @@ def build_report_row(n: int, p: float, policy: TruncationPolicy, mc: MCConfig | 
     closed = f_gamma(n, e)
     fg = closed.value
     fp = f_product(n, e, policy)
-    bound = kuperberg_bound(n)
-    margin = bound - fg
-    bound_ok = fg <= bound + 1e-12
-    f_mc = mc_se = mc_agrees = None
+    bound_ok, margin = kuperberg_verdict(n, fg)
+    f_mc = mc_se = mc_ok = None
     if mc is not None:
         est = estimate_f(n, e, mc)
         f_mc, mc_se = est.mean, est.std_error
-        mc_agrees = abs(est.mean - fg) <= 3.0 * est.std_error
+        mc_ok = mc_agrees(est, fg)
     return ReportRow(
         n=n, p=e.p, t=e.t, f_gamma=fg, f_product=fp.value,
-        f_mc=f_mc, mc_std_error=mc_se, bound=bound, margin=margin,
-        bound_ok=bound_ok, routes_agree=routes_agree(closed, fp), mc_agrees=mc_agrees,
+        f_mc=f_mc, mc_std_error=mc_se, bound=kuperberg_bound(n), margin=margin,
+        bound_ok=bound_ok, routes_agree=routes_agree(closed, fp), mc_agrees=mc_ok,
     )
 
 
@@ -190,39 +196,31 @@ def cmd_eval(args) -> int:
     return 0 if all(row.verdicts()) else 1
 
 
-def _monotone_verdicts(ns: list[int], ps: list[float], rows: dict) -> list[tuple[str, bool]]:
-    verdicts = []
-    low = sorted(p for p in ps if 1.0 <= p <= 2.0)
-    high = sorted(p for p in ps if p >= 2.0)
-    for n in ns:
-        if len(low) >= 2:
-            vals = [rows[(n, p)].f_gamma for p in low]
-            ok = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-            verdicts.append((f"monotone nondecreasing on [1,2] for n={n}", ok))
-        if len(high) >= 2:
-            vals = [rows[(n, p)].f_gamma for p in high]
-            ok = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-            verdicts.append((f"monotone nonincreasing on [2,inf] for n={n}", ok))
-    return verdicts
-
-
 def cmd_scan(args) -> int:
     policy = _policy_from_args(args)
     mc = _mc_from_args(args)
     ns = _parse_n_list(args.n)
     ps = _parse_p_list(args.p)
-    rows = []
-    by_cell = {}
-    for n in ns:
-        for p in ps:
-            row = build_report_row(n, p, policy, mc)
-            rows.append(row)
-            by_cell[(n, p)] = row
+    rows = [build_report_row(n, p, policy, mc) for n in ns for p in ps]
     _emit_rows(rows, args.format, sys.stdout)
     ok = all(all(row.verdicts()) for row in rows)
-    for label, passed in _monotone_verdicts(ns, ps, by_cell):
-        print(f"# {'ok' if passed else 'FAIL'}: {label}", file=sys.stderr)
-        ok &= passed
+    by_n: dict[int, dict[float, float]] = {}
+    for row in rows:
+        by_n.setdefault(row.n, {})[row.p] = row.f_gamma
+    # a side of 2 named by at least two exponents is judged on its distinct
+    # exponents after snapping
+    sides = [
+        (side, keep) for side, keep in (
+            ("nondecreasing on [1,2]", lambda p: p <= 2.0),
+            ("nonincreasing on [2,inf]", lambda p: p >= 2.0),
+        ) if sum(map(keep, ps)) >= 2
+    ]
+    for n in ns:
+        points = sorted(by_n[n].items())
+        for side, keep in sides:
+            passed = monotone_verdict(n, [pt for pt in points if keep(pt[0])]).monotone
+            print(f"# {'ok' if passed else 'FAIL'}: monotone {side} for n={n}", file=sys.stderr)
+            ok &= passed
     return 0 if ok else 1
 
 

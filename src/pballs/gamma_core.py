@@ -17,6 +17,7 @@ provides the independent route the product is checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -256,23 +257,8 @@ def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_P
     if a == 0.0:
         return ProductResult(1.0, 0.0, 0, True, None, "tolerance")
 
-    # Factor k is negative exactly while k + x + a - 1 < 0, and the log
-    # factors of those k can take either sign; from there on all of them
-    # have the sign of a*(x+a-1).  The mixed ones are summed one by one for
-    # their sizes.
+    # Factor k is negative exactly while k + x + a - 1 < 0.
     mixed = max(0, math.floor(1.0 - x - a))
-
-    def chunk(k_lo: int, k_hi: int):
-        partial = abs_partial = 0.0
-        for k in range(k_lo, min(k_hi, mixed) + 1):
-            term, _, _ = gamma_ratio_log(x, a, k, k)
-            partial += term
-            abs_partial += abs(term)
-        if k_hi > mixed:
-            term, _, _ = gamma_ratio_log(x, a, max(k_lo, mixed + 1), k_hi)
-            partial += term
-            abs_partial += abs(term)
-        return partial, abs_partial
 
     # log factor k = log(k/(k-a)) + log((k+x-1)/(k+x+a-1)); the tail's
     # arguments must stay >= 1, so the head covers k <= 1 - x - a at least.
@@ -285,7 +271,7 @@ def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_P
             return 0.0, math.inf
         return log_pair_tail(x0, pairs)
 
-    out = run_truncated_log_sum(chunk, tail, policy)
+    out = run_truncated_log_sum(functools.partial(gamma_ratio_log, x, a), tail, policy)
     sign = -1.0 if mixed % 2 else 1.0
     value = sign * math.exp(out.total)
     converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False

@@ -19,13 +19,18 @@ and y in B_q^n (q the Hoelder conjugate).  Routes implemented here:
 The sign of df/dt is decided by the series of per-factor log derivatives
 (``derivative_sign_series``), and the per-term polynomial inequality that
 the termwise argument rests on is checked verbatim (``per_term_positivity``).
-``kuperberg_check`` compares f against the conjectured ceiling n/(n+2)^2,
-attained at the self-dual point p = 2.
+The paper's claims are judged here and only here: ``kuperberg_verdict``
+holds f to the conjectured ceiling n/(n+2)^2, attained at the self-dual
+point p = 2; ``monotone_verdict`` holds f to rising on [1, 2] and falling
+on [2, inf]; ``mc_agrees`` holds a Monte Carlo estimate to a value within
+MC_STD_ERRORS standard errors.  The CLI and the verify suites call these
+rules on their own grids.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,9 +64,12 @@ __all__ = [
     "derivative_sign_series",
     "per_term_positivity",
     "per_term_minimum",
+    "monotone_verdict",
     "monotonicity_scan",
     "kuperberg_bound",
+    "kuperberg_verdict",
     "kuperberg_check",
+    "mc_agrees",
     "bound_comparator",
     "remark_limit_check",
 ]
@@ -72,6 +80,13 @@ ZERO_TOL = 1e-12
 
 # Comparison slack for monotonicity verdicts along closed-form scans.
 MONOTONE_TOL = 1e-12
+
+# Absolute float cushion on the ceiling n/(n+2)^2, which the self-dual
+# point attains with equality.
+KUPERBERG_TOL = 1e-12
+
+# A Monte Carlo estimate agrees with a value within this many standard errors.
+MC_STD_ERRORS = 3.0
 
 # The closed form adds ln n and eight ln Gamma values and exponentiates: its
 # relative error is a few ulp of the sum of those terms' sizes.
@@ -144,11 +159,17 @@ class ComparatorResult:
 
 @dataclass(frozen=True)
 class MonotonicityScan:
-    """f values along an exponent grid plus the ordering verdict."""
+    """(exponent, f) points on one side of 2 plus the ordering verdict.
+
+    monotone: no step goes the wrong way by more than MONOTONE_TOL.
+    strict: every step goes the right way by more than MONOTONE_TOL
+    (never for n = 1, where f is constant).  first_violation is the first
+    step (p_a, p_b) that breaks the strongest order the dimension claims.
+    """
 
     points: list
-    nondecreasing: bool
-    strictly_increasing: bool
+    monotone: bool
+    strict: bool
     first_violation: tuple | None
 
 
@@ -228,11 +249,6 @@ def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY) -
     if tau == 0.25:
         return ProductResult(9.0 / ((n + 2) ** 2), 0.0, 0, True, None, "tolerance")
 
-    def chunk(k_lo: int, k_hi: int):
-        # every log factor is <= 0 for t <= 1/2, so |partial| is the size
-        partial, _ = moment_product_log(float(n), tau, k_lo, k_hi)
-        return partial, abs(partial)
-
     _, a, b = _roots(tau)
     # log g_k(1)/g_k(3) and log g_k(n+2)/g_k(n), each root by root
     pairs = (
@@ -247,7 +263,7 @@ def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY) -
             return 0.0, 0.0  # {1, 3} = {n, n+2}: every factor is exactly 1
         return log_pair_tail(k + 1.0, pairs)
 
-    out = run_truncated_log_sum(chunk, tail, policy)
+    out = run_truncated_log_sum(functools.partial(moment_product_log, float(n), tau), tail, policy)
     converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
     return ProductResult(math.exp(out.total), out.tail_bound, out.terms, converged, out.confirmed, out.stop)
 
@@ -325,7 +341,7 @@ def derivative_sign_series(n, t: float, policy: TruncationPolicy = DEFAULT_POLIC
 
     def chunk(k_lo: int, k_hi: int):
         nonlocal abs_sum, min_term
-        total, abs_total, mn, _ = sign_series_sum(float(n), t, k_lo, k_hi)
+        total, abs_total, mn = sign_series_sum(float(n), t, k_lo, k_hi)
         abs_sum += abs_total
         min_term = min(min_term, mn)
         return total, abs_total
@@ -385,49 +401,63 @@ def per_term_minimum(n, t: float, k_max: int):
     return ineq3_min(float(n), float(t), 1, int(k_max))
 
 
-def monotonicity_scan(n, grid) -> MonotonicityScan:
-    """Evaluate f along an increasing exponent grid in [1, 2] and judge ordering.
+def monotone_verdict(n, points) -> MonotonicityScan:
+    """Judge (exponent, f) points against the paper's order on one side of 2.
 
-    The sequence must be nondecreasing within MONOTONE_TOL; for n >= 2 it
-    must be strictly increasing (gap > MONOTONE_TOL) at every step whose
-    upper exponent is below 2.
+    The exponents must increase strictly and lie on one side of 2; f must
+    rise on [1, 2] and fall on [2, inf], the side read from the exponents.
+    A grid that straddles 2 raises ValueError.
     """
+    n = check_dimension(n)
+    ps = [as_exponent(e).p for e, _ in points]
+    if any(b <= a for a, b in zip(ps, ps[1:])):
+        raise ValueError(f"grid must be strictly increasing, got {ps}")
+    rising = all(p <= 2.0 for p in ps)
+    if not rising and any(p < 2.0 for p in ps):
+        raise ValueError(f"grid {ps} straddles 2; all exponents must lie on one side")
+    monotone = True
+    strict = n >= 2
+    first_violation = None
+    for pa, pb, (_, fa), (_, fb) in zip(ps, ps[1:], points, points[1:]):
+        # the step in the direction the paper claims
+        step = fb - fa if rising else fa - fb
+        if step < -MONOTONE_TOL:
+            monotone = strict = False
+        elif n >= 2 and not step > MONOTONE_TOL:
+            strict = False
+        else:
+            continue
+        first_violation = first_violation or (pa, pb)
+    return MonotonicityScan(points, monotone, strict, first_violation)
+
+
+def monotonicity_scan(n, grid) -> MonotonicityScan:
+    """Evaluate f along an increasing exponent grid on one side of 2 and judge its order."""
     n = check_dimension(n)
     exps = [as_exponent(p) for p in grid]
     if len(exps) < 2:
         raise ValueError("grid must contain at least two exponents")
-    ps = [e.p for e in exps]
-    if any(not (1.0 <= p <= 2.0) for p in ps):
-        raise ValueError(f"grid values must lie in [1, 2], got {ps}")
-    if any(b <= a for a, b in zip(ps, ps[1:])):
-        raise ValueError(f"grid must be strictly increasing, got {ps}")
-
-    points = [(e, f_gamma(n, e).value) for e in exps]
-    nondecreasing = True
-    strict = n >= 2
-    first_violation = None
-    for (ea, fa), (eb, fb) in zip(points, points[1:]):
-        if fb < fa - MONOTONE_TOL:
-            nondecreasing = False
-            strict = False
-            first_violation = first_violation or (ea.p, eb.p)
-        elif n >= 2 and eb.p < 2.0 and not (fb - fa > MONOTONE_TOL):
-            strict = False
-            first_violation = first_violation or (ea.p, eb.p)
-    return MonotonicityScan(points, nondecreasing, strict, first_violation)
+    return monotone_verdict(n, [(e, f_gamma(n, e).value) for e in exps])
 
 
-def kuperberg_check(n, p):
-    """Whether f(n, p) respects the ceiling n/(n+2)^2, with the margin.
+def kuperberg_verdict(n, value: float) -> tuple[bool, float]:
+    """Whether a value of f(n, .) respects the ceiling n/(n+2)^2, with the margin.
 
-    Returns (ok, margin): margin = n/(n+2)^2 - f(n, p), and ok allows an
-    absolute 1e-12 float cushion (the self-dual point attains equality).
+    Returns (ok, margin): margin = n/(n+2)^2 - value, and ok allows an
+    absolute KUPERBERG_TOL float cushion (the self-dual point attains equality).
     """
-    n = check_dimension(n)
     bound = kuperberg_bound(n)
-    value = f_gamma(n, p).value
-    margin = bound - value
-    return value <= bound + 1e-12, margin
+    return value <= bound + KUPERBERG_TOL, bound - value
+
+
+def kuperberg_check(n, p) -> tuple[bool, float]:
+    """kuperberg_verdict on the closed-form f(n, p)."""
+    return kuperberg_verdict(n, f_gamma(n, p).value)
+
+
+def mc_agrees(estimate, value: float) -> bool:
+    """Whether a Monte Carlo estimate lies within MC_STD_ERRORS standard errors of value."""
+    return abs(estimate.mean - value) <= MC_STD_ERRORS * estimate.std_error
 
 
 def bound_comparator(n, r, s, policy: TruncationPolicy = DEFAULT_POLICY) -> ComparatorResult:

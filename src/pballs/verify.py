@@ -1,8 +1,11 @@
 """Named verification suites over the (n, p) identities and bounds.
 
 Every suite returns a list of :class:`Check` records and performs no I/O,
-so the CLI and the test suite can share one implementation.  Tolerances
-are fixed here, next to the grids they apply to.
+so the CLI and the test suite can share one implementation.  The grids and
+the tolerances of the identity checks are fixed here; the paper's claims
+(the ceiling, the monotone order and Monte Carlo agreement) are judged by
+the shared rules in :mod:`pballs.moments`, which the CLI uses too.  Suites
+that truncate a series take one policy, DEFAULT_POLICY unless given.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ from .gamma_core import (
     signed_ln_gamma,
 )
 from .moments import (
+    KUPERBERG_TOL,
+    MC_STD_ERRORS,
     Sign,
     bound_comparator,
     derivative_sign_series,
     f_endpoint,
     f_gamma,
     f_product,
-    kuperberg_bound,
+    kuperberg_check,
+    mc_agrees,
+    monotonicity_scan,
     per_term_minimum,
     remark_limit_check,
     routes_agree,
@@ -215,28 +222,25 @@ def _fd_derivative_sign(n: int, t: float, step: float = 1e-5) -> float:
     return f_gamma(n, _p_of_t(hi)).value - f_gamma(n, _p_of_t(lo)).value
 
 
-def suite_monotonicity() -> list[Check]:
+def suite_monotonicity(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]:
     checks = []
 
+    bound_ok = True
     min_margin = math.inf
     for n in range(1, 101):
-        bound = kuperberg_bound(n)
         for p in BOUND_P_GRID:
-            value = f_gamma(n, p).value
-            min_margin = min(min_margin, bound - value)
+            ok, margin = kuperberg_check(n, p)
+            bound_ok &= ok
+            min_margin = min(min_margin, margin)
     checks.append(_check(
-        "kuperberg-bound", min_margin >= -1e-12,
-        f"f <= n/(n+2)^2 + 1e-12 on n=1..100 x 40 p-values, min margin {min_margin:.3g}",
+        "kuperberg-bound", bound_ok,
+        f"f <= n/(n+2)^2 + {KUPERBERG_TOL:g} on n=1..100 x 40 p-values, min margin {min_margin:.3g}",
     ))
 
     inc_grid = [1.0 + 0.05 * i for i in range(21)]
     dec_grid = _geomspace(2.0, 100.0, 20) + [math.inf]
-    ok_inc = ok_dec = True
-    for n in range(2, 21):
-        vals_inc = [f_gamma(n, p).value for p in inc_grid]
-        ok_inc &= all(b - a > 1e-12 for a, b in zip(vals_inc, vals_inc[1:]))
-        vals_dec = [f_gamma(n, p).value for p in dec_grid]
-        ok_dec &= all(a - b > 1e-12 for a, b in zip(vals_dec, vals_dec[1:]))
+    ok_inc = all(monotonicity_scan(n, inc_grid).strict for n in range(2, 21))
+    ok_dec = all(monotonicity_scan(n, dec_grid).strict for n in range(2, 21))
     checks.append(_check(
         "monotone-increasing", ok_inc,
         "f strictly increasing on 21-point grid in [1,2] for n=2..20",
@@ -254,18 +258,17 @@ def suite_monotonicity() -> list[Check]:
         f"f(1,p) = 1/9 across p grid, worst rel dev {worst:.3g}",
     ))
 
-    series_policy = TruncationPolicy(max_terms=200_000, rel_tol=1e-8)
     sign_ok = True
     bad = []
     for n in range(2, 21):
         for t in SIGN_T_GRID:
-            report = derivative_sign_series(n, t, series_policy)
+            report = derivative_sign_series(n, t, policy)
             fd = _fd_derivative_sign(n, t)
             agrees = report.sign == Sign.POSITIVE and fd > 0.0
             if not agrees:
                 sign_ok = False
                 bad.append((n, t))
-    n1 = derivative_sign_series(1, 0.2, series_policy)
+    n1 = derivative_sign_series(1, 0.2, policy)
     n1_ok = abs(n1.series_value) < 1e-12
     checks.append(_check(
         "derivative-sign", sign_ok and n1_ok,
@@ -315,9 +318,7 @@ def suite_remark_limit() -> list[Check]:
 # --------------------------------------------------------------------------
 # comparators
 
-def suite_corollaries(policy: TruncationPolicy | None = None) -> list[Check]:
-    if policy is None:
-        policy = TruncationPolicy(max_terms=200_000, rel_tol=1e-10)
+def suite_corollaries(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]:
     doubled = policy.doubled()
     checks = []
     for label, pairs in (("forward", COMPARATOR_PAIRS_LOW), ("reversed", COMPARATOR_PAIRS_HIGH)):
@@ -341,6 +342,13 @@ def suite_corollaries(policy: TruncationPolicy | None = None) -> list[Check]:
 # --------------------------------------------------------------------------
 # Monte Carlo
 
+def _pull(gap: float, std_error: float) -> float:
+    """|gap| in standard errors, for detail text: inf for a gap at zero error."""
+    if std_error > 0.0:
+        return abs(gap) / std_error
+    return math.inf if gap else 0.0
+
+
 def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list[Check]:
     checks = []
 
@@ -352,13 +360,12 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
             est = estimate_f(n, p, MCConfig(samples, seed + idx, streams))
             idx += 1
             target = f_gamma(n, p).value
-            pull = abs(est.mean - target) / est.std_error
-            worst_pull = max(worst_pull, pull)
-            ok &= pull <= 3.0
+            ok &= mc_agrees(est, target)
+            worst_pull = max(worst_pull, _pull(est.mean - target, est.std_error))
     checks.append(_check(
         "mc-estimate", ok,
         f"estimate_f vs closed form on n=1..5 x p={{1,1.4,2,3,inf}} "
-        f"({samples} pairs), worst |pull| {worst_pull:.2f} (limit 3)",
+        f"({samples} pairs), worst |pull| {worst_pull:.2f} (limit {MC_STD_ERRORS:g})",
     ))
 
     moments_ok = True
@@ -433,16 +440,19 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
 # --------------------------------------------------------------------------
 # dispatch
 
-SUITE_NAMES = (
-    "routes",
-    "endpoints",
-    "monotonicity",
-    "ineq3",
-    "remark-limit",
-    "corollaries",
-    "mc",
-    "all",
-)
+# name -> suite, in the order 'all' runs them; each entry takes
+# (policy, samples, seed, streams) and passes on what its suite uses
+_SUITES = {
+    "routes": lambda policy, *mc: suite_routes(policy),
+    "endpoints": lambda policy, *mc: suite_endpoints(),
+    "monotonicity": lambda policy, *mc: suite_monotonicity(policy),
+    "ineq3": lambda policy, *mc: suite_ineq3(),
+    "remark-limit": lambda policy, *mc: suite_remark_limit(),
+    "corollaries": lambda policy, *mc: suite_corollaries(policy),
+    "mc": lambda policy, *mc: suite_mc(*mc),
+}
+
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(
@@ -452,25 +462,9 @@ def run_suite(
     seed: int = 42,
     streams: int = 8,
 ) -> list[Check]:
-    """Run one named suite (or 'all') and return its checks."""
+    """Run one named suite (or 'all', every suite in order) and return its checks."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    product_policy = policy or DEFAULT_POLICY
-    if name == "routes":
-        return suite_routes(product_policy)
-    if name == "endpoints":
-        return suite_endpoints()
-    if name == "monotonicity":
-        return suite_monotonicity()
-    if name == "ineq3":
-        return suite_ineq3()
-    if name == "remark-limit":
-        return suite_remark_limit()
-    if name == "corollaries":
-        return suite_corollaries(policy)
-    if name == "mc":
-        return suite_mc(samples, seed, streams)
-    out = []
-    for suite in ("routes", "endpoints", "monotonicity", "ineq3", "remark-limit", "corollaries", "mc"):
-        out.extend(run_suite(suite, policy, samples, seed, streams))
-    return out
+    policy = policy or DEFAULT_POLICY
+    names = _SUITES if name == "all" else (name,)
+    return [check for suite in names for check in _SUITES[suite](policy, samples, seed, streams)]

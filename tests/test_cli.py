@@ -130,6 +130,19 @@ class TestScan:
         code, _, _ = run_cli(capsys, "scan", "--n", "5..2", "--p", "2")
         assert code == 2
 
+    def test_repeated_exponent_is_judged_once(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--p", "1.5,1.5,2")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+        assert err == "# ok: monotone nondecreasing on [1,2] for n=3\n"
+
+    def test_exponents_that_snap_together(self, capsys):
+        # 1.0000000000001 snaps to p = 1, so the side has two distinct exponents
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--p", "1,1.0000000000001,1.5")
+        assert code == 0
+        assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["1", "1", "1.5"]
+        assert err == "# ok: monotone nondecreasing on [1,2] for n=3\n"
+
 
 class TestVerify:
     def test_named_suite(self, capsys):
@@ -159,6 +172,14 @@ class TestVerify:
         assert code == 0
         assert "mc-estimate" in out
         assert "OVERALL: PASS" in out
+
+    def test_mc_suite_with_zero_standard_error(self, capsys):
+        # one pair gives a standard error of 0: the check fails, nothing raises
+        code, out, _ = run_cli(capsys, "verify", "mc", "--samples", "1", "--streams", "1")
+        assert code == 1
+        assert "FAIL mc-estimate" in out
+        assert "worst |pull| inf" in out
+        assert "OVERALL: FAIL" in out
 
     def test_policy_flags_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "corollaries", "--max-terms", "20000", "--rel-tol", "1e-6")

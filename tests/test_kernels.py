@@ -21,14 +21,12 @@ def ref_moment_product_log(n, t, k_lo, k_hi):
 
 
 def ref_gamma_ratio_log(x, a, k_lo, k_hi):
-    total = 0.0
-    neg = 0
+    total = size = 0.0
     for k in range(k_lo, k_hi + 1):
-        fac = (k * (k + x - 1.0)) / ((k - a) * (k + x + a - 1.0))
-        if fac < 0:
-            neg += 1
-        total += math.log(abs(fac))
-    return total, neg
+        term = math.log(abs((k * (k + x - 1.0)) / ((k - a) * (k + x + a - 1.0))))
+        total += term
+        size += abs(term)
+    return total, size
 
 
 def ref_sign_series(n, t, k_lo, k_hi):
@@ -52,34 +50,29 @@ def ref_ineq3(k, n, t):
 class TestAgainstDirectReference:
     def test_moment_product_log(self):
         for n, t in [(2.0, 0.1), (7.0, 0.25), (50.0, 0.01)]:
-            got, last = kernels.moment_product_log(n, t, 1, 500)
+            got, size = kernels.moment_product_log(n, t, 1, 500)
             assert got == pytest.approx(ref_moment_product_log(n, t, 1, 500), rel=1e-11, abs=1e-13)
-            assert last > 0.0
+            assert got < 0.0 and size == -got
 
     def test_gamma_ratio_log(self):
         for x, a in [(1.0, 0.5), (0.1, -0.9), (10.0, 0.9), (2.0, -0.5)]:
-            got, neg, last = kernels.gamma_ratio_log(x, a, 1, 500)
-            ref, ref_neg = ref_gamma_ratio_log(x, a, 1, 500)
+            got, size = kernels.gamma_ratio_log(x, a, 1, 500)
+            ref, ref_size = ref_gamma_ratio_log(x, a, 1, 500)
             assert got == pytest.approx(ref, rel=1e-11, abs=1e-13)
-            assert neg == ref_neg
-            assert last >= 0.0
-
-    def test_negative_factor_is_counted_once(self):
-        _, neg, _ = kernels.gamma_ratio_log(0.1, -0.9, 1, 100)
-        assert neg == 1  # only k = 1 has x + a - 1 + k < 0
+            assert size == pytest.approx(ref_size, rel=1e-11, abs=1e-13)
 
     def test_sign_series_sum(self):
         for n, t in [(1.0, 0.2), (2.0, 0.25), (10.0, 0.05)]:
-            got, abs_sum, mn, last = kernels.sign_series_sum(n, t, 1, 400)
+            got, abs_sum, mn = kernels.sign_series_sum(n, t, 1, 400)
             assert got == pytest.approx(ref_sign_series(n, t, 1, 400), rel=1e-9, abs=1e-12)
             assert abs_sum >= abs(got) - 1e-15
             assert mn <= got or n == 1.0
 
     def test_sign_series_exact_zero_at_n1(self):
-        got, abs_sum, _, last = kernels.sign_series_sum(1.0, 0.17, 1, 1000)
+        got, abs_sum, mn = kernels.sign_series_sum(1.0, 0.17, 1, 1000)
         assert got == 0.0
         assert abs_sum == 0.0
-        assert last == 0.0
+        assert mn == 0.0
 
     def test_ineq3_min(self):
         mn, arg = kernels.ineq3_min(2.0, 0.25, 1, 200)
@@ -89,9 +82,9 @@ class TestAgainstDirectReference:
 
     def test_empty_ranges(self):
         assert kernels.moment_product_log(2.0, 0.1, 5, 4) == (0.0, 0.0)
-        assert kernels.gamma_ratio_log(1.0, 0.5, 5, 4) == (0.0, 0, 0.0)
-        total, abs_sum, mn, last = kernels.sign_series_sum(2.0, 0.1, 5, 4)
-        assert (total, abs_sum, last) == (0.0, 0.0, 0.0)
+        assert kernels.gamma_ratio_log(1.0, 0.5, 5, 4) == (0.0, 0.0)
+        total, abs_sum, mn = kernels.sign_series_sum(2.0, 0.1, 5, 4)
+        assert (total, abs_sum) == (0.0, 0.0)
         assert math.isinf(mn)
         mn, _ = kernels.ineq3_min(2.0, 0.1, 5, 4)
         assert math.isinf(mn)

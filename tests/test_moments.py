@@ -15,6 +15,9 @@ from pballs.moments import (
     gk_ratio_product,
     kuperberg_bound,
     kuperberg_check,
+    kuperberg_verdict,
+    mc_agrees,
+    monotone_verdict,
     monotonicity_scan,
     per_term_minimum,
     per_term_positivity,
@@ -200,21 +203,21 @@ class TestPerTermPositivity:
 class TestMonotonicityScan:
     def test_constant_for_n1(self):
         scan = monotonicity_scan(1, [1.0, 1.5, 2.0])
-        assert scan.nondecreasing
-        assert not scan.strictly_increasing
+        assert scan.monotone
+        assert not scan.strict
         for _, value in scan.points:
             assert value == pytest.approx(1.0 / 9.0, rel=1e-13)
 
     def test_strict_increase_for_n2(self):
         scan = monotonicity_scan(2, [1.0, 2.0])
-        assert scan.nondecreasing and scan.strictly_increasing
+        assert scan.monotone and scan.strict
         assert scan.points[0][1] == pytest.approx(1.0 / 9.0, rel=1e-13)
         assert scan.points[1][1] == pytest.approx(0.125, rel=1e-13)
 
     def test_21_point_grid_ends_at_self_dual(self):
         grid = [1.0 + 0.05 * i for i in range(21)]
         scan = monotonicity_scan(3, grid)
-        assert scan.strictly_increasing
+        assert scan.strict
         assert scan.first_violation is None
         assert scan.points[-1][1] == pytest.approx(3.0 / 25.0, rel=1e-12)
 
@@ -229,6 +232,41 @@ class TestMonotonicityScan:
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):
             monotonicity_scan(2, [1.5])
+
+    def test_falling_side(self):
+        grid = [2.0, 3.0, 10.0, math.inf]
+        scan = monotonicity_scan(3, grid)
+        assert scan.monotone and scan.strict
+        assert scan.first_violation is None
+        flat = monotonicity_scan(1, grid)
+        assert flat.monotone and not flat.strict
+
+    def test_grid_straddling_two_rejected(self):
+        with pytest.raises(ValueError, match="straddles 2"):
+            monotonicity_scan(3, [1.5, 2.5])
+
+    def test_flat_step_up_to_self_dual_is_not_strict(self):
+        # the computed f falls by about 1e-16 on this step: within the
+        # slack for monotone order, but not the strict rise claimed for n >= 2
+        scan = monotonicity_scan(3, [1.9999999, 2.0])
+        assert scan.monotone
+        assert not scan.strict
+        assert scan.first_violation == (1.9999999, 2.0)
+
+
+class TestMonotoneVerdict:
+    def test_wrong_direction_is_reported(self):
+        verdict = monotone_verdict(2, [(2.0, 0.1), (3.0, 0.2), (4.0, 0.1)])
+        assert not verdict.monotone and not verdict.strict
+        assert verdict.first_violation == (2.0, 3.0)
+
+    def test_one_point_is_vacuously_ordered(self):
+        verdict = monotone_verdict(3, [(1.5, 0.1)])
+        assert verdict.monotone and verdict.strict
+
+    def test_repeated_exponent_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            monotone_verdict(2, [(1.5, 0.1), (1.5, 0.2)])
 
 
 class TestKuperbergCheck:
@@ -246,6 +284,43 @@ class TestKuperbergCheck:
         ok, margin = kuperberg_check(4, 1.3)
         assert ok
         assert margin > 1e-4
+
+
+class TestKuperbergVerdict:
+    def test_slack_is_absolute(self):
+        bound = kuperberg_bound(5)
+        assert kuperberg_verdict(5, bound + 0.5e-12) == (True, bound - (bound + 0.5e-12))
+        ok, margin = kuperberg_verdict(5, bound + 2e-12)
+        assert not ok
+        assert margin < 0.0
+
+    def test_check_is_the_verdict_on_the_closed_form(self):
+        for n, p in [(2, 2.0), (7, 1.3), (40, math.inf)]:
+            assert kuperberg_check(n, p) == kuperberg_verdict(n, f_gamma(n, p).value)
+
+
+class TestMcAgrees:
+    def test_three_standard_errors(self):
+        from pballs.montecarlo import MCEstimate
+
+        assert mc_agrees(MCEstimate(1.0, 0.1, 100), 1.25)
+        assert not mc_agrees(MCEstimate(1.0, 0.1, 100), 1.35)
+
+    def test_zero_standard_error(self):
+        from pballs.montecarlo import MCEstimate
+
+        assert mc_agrees(MCEstimate(0.5, 0.0, 1), 0.5)
+        assert not mc_agrees(MCEstimate(0.5, 0.0, 1), 0.25)
+
+
+class TestRunSuite:
+    def test_all_runs_every_suite_once_in_order(self):
+        from pballs.verify import SUITE_NAMES, run_suite
+
+        args = dict(samples=400, seed=5, streams=2)
+        expected = [c for name in SUITE_NAMES[:-1] for c in run_suite(name, **args)]
+        assert SUITE_NAMES[-1] == "all"
+        assert run_suite("all", **args) == expected
 
 
 class TestBoundComparator:
