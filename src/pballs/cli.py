@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .gamma_core import TruncationPolicy
 from .moments import (
+    MomentResult,
     f_gamma,
     f_product,
     kuperberg_bound,
@@ -28,11 +29,11 @@ from .montecarlo import MCConfig, estimate_f
 from .pball import as_exponent
 from .verify import SUITE_NAMES, run_suite
 
-CSV_HEADER = "n,p,t,f_gamma,f_product,f_mc,mc_std_error,bound,margin,bound_ok,routes_agree,mc_agrees"
-
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One output row; its fields, in this order, are the CSV columns and JSON keys."""
+
     n: int
     p: float
     t: float
@@ -53,66 +54,28 @@ class ReportRow:
         return out
 
 
-def _fmt(x: float | None) -> str:
+FIELDS = tuple(f.name for f in fields(ReportRow))
+CSV_HEADER = ",".join(FIELDS)
+
+
+def _fmt(x, fmt: str) -> str:
+    """One field value as text; CSV and JSON differ only for None and inf."""
     if x is None:
-        return ""
-    if math.isinf(x):
-        return "inf"
-    return format(x, ".17g")
-
-
-def _fmt_bool(b: bool | None) -> str:
-    if b is None:
-        return ""
-    return "true" if b else "false"
-
-
-def _csv_line(row: ReportRow) -> str:
-    return ",".join([
-        str(row.n),
-        _fmt(row.p),
-        _fmt(row.t),
-        _fmt(row.f_gamma),
-        _fmt(row.f_product),
-        _fmt(row.f_mc),
-        _fmt(row.mc_std_error),
-        _fmt(row.bound),
-        _fmt(row.margin),
-        _fmt_bool(row.bound_ok),
-        _fmt_bool(row.routes_agree),
-        _fmt_bool(row.mc_agrees),
-    ])
-
-
-def _json_value(x) -> str:
-    if x is None:
-        return "null"
+        return "" if fmt == "csv" else "null"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     if math.isinf(x):
-        return '"inf"'
+        return "inf" if fmt == "csv" else '"inf"'
     return format(x, ".17g")
 
 
-def _json_line(row: ReportRow) -> str:
-    fields = [
-        ("n", row.n),
-        ("p", row.p),
-        ("t", row.t),
-        ("f_gamma", row.f_gamma),
-        ("f_product", row.f_product),
-        ("f_mc", row.f_mc),
-        ("mc_std_error", row.mc_std_error),
-        ("bound", row.bound),
-        ("margin", row.margin),
-        ("bound_ok", row.bound_ok),
-        ("routes_agree", row.routes_agree),
-        ("mc_agrees", row.mc_agrees),
-    ]
-    body = ", ".join(f'"{k}": {_json_value(v)}' for k, v in fields)
-    return "{" + body + "}"
+def _line(row: ReportRow, fmt: str) -> str:
+    values = [_fmt(getattr(row, name), fmt) for name in FIELDS]
+    if fmt == "csv":
+        return ",".join(values)
+    return "{" + ", ".join(f'"{name}": {v}' for name, v in zip(FIELDS, values)) + "}"
 
 
 def _parse_p(token: str) -> float:
@@ -151,32 +114,33 @@ def _parse_n_list(text: str) -> list[int]:
     return out
 
 
-def build_report_row(n: int, p: float, policy: TruncationPolicy, mc: MCConfig | None) -> ReportRow:
+def build_report_row(
+    n: int, p: float, policy: TruncationPolicy, mc: MCConfig | None
+) -> tuple[ReportRow, MomentResult]:
+    """The report row of one (n, p) cell and the closed-form result it was judged on."""
     e = as_exponent(p)
     closed = f_gamma(n, e)
     fg = closed.value
     fp = f_product(n, e, policy)
-    bound_ok, margin = kuperberg_verdict(n, fg)
+    bound_ok, margin = kuperberg_verdict(closed)
     f_mc = mc_se = mc_ok = None
     if mc is not None:
         est = estimate_f(n, e, mc)
         f_mc, mc_se = est.mean, est.std_error
         mc_ok = mc_agrees(est, fg)
-    return ReportRow(
+    row = ReportRow(
         n=n, p=e.p, t=e.t, f_gamma=fg, f_product=fp.value,
         f_mc=f_mc, mc_std_error=mc_se, bound=kuperberg_bound(n), margin=margin,
         bound_ok=bound_ok, routes_agree=routes_agree(closed, fp), mc_agrees=mc_ok,
     )
+    return row, closed
 
 
 def _emit_rows(rows: list[ReportRow], fmt: str, out) -> None:
     if fmt == "csv":
         print(CSV_HEADER, file=out)
-        for row in rows:
-            print(_csv_line(row), file=out)
-    else:
-        for row in rows:
-            print(_json_line(row), file=out)
+    for row in rows:
+        print(_line(row, fmt), file=out)
 
 
 def _policy_from_args(args) -> TruncationPolicy:
@@ -191,7 +155,7 @@ def _mc_from_args(args) -> MCConfig | None:
 
 def cmd_eval(args) -> int:
     policy = _policy_from_args(args)
-    row = build_report_row(args.n, _parse_p(args.p), policy, _mc_from_args(args))
+    row, _ = build_report_row(args.n, _parse_p(args.p), policy, _mc_from_args(args))
     _emit_rows([row], args.format, sys.stdout)
     return 0 if all(row.verdicts()) else 1
 
@@ -201,12 +165,13 @@ def cmd_scan(args) -> int:
     mc = _mc_from_args(args)
     ns = _parse_n_list(args.n)
     ps = _parse_p_list(args.p)
-    rows = [build_report_row(n, p, policy, mc) for n in ns for p in ps]
+    cells = [build_report_row(n, p, policy, mc) for n in ns for p in ps]
+    rows = [row for row, _ in cells]
     _emit_rows(rows, args.format, sys.stdout)
     ok = all(all(row.verdicts()) for row in rows)
-    by_n: dict[int, dict[float, float]] = {}
-    for row in rows:
-        by_n.setdefault(row.n, {})[row.p] = row.f_gamma
+    by_n: dict[int, dict[float, MomentResult]] = {}
+    for row, closed in cells:
+        by_n.setdefault(row.n, {})[row.p] = closed
     # a side of 2 named by at least two exponents is judged on its distinct
     # exponents after snapping
     sides = [
@@ -216,7 +181,7 @@ def cmd_scan(args) -> int:
         ) if sum(map(keep, ps)) >= 2
     ]
     for n in ns:
-        points = sorted(by_n[n].items())
+        points = [(p, r.value, r.error_estimate) for p, r in sorted(by_n[n].items())]
         for side, keep in sides:
             passed = monotone_verdict(n, [pt for pt in points if keep(pt[0])]).monotone
             print(f"# {'ok' if passed else 'FAIL'}: monotone {side} for n={n}", file=sys.stderr)

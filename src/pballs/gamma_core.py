@@ -9,7 +9,8 @@ whose log factor k is log(k/(k-a)) + log((k+x-1)/(k+x+a-1)), a sum of
 differences of logs of linear terms.  ``run_truncated_log_sum`` sums such
 series as a short head of explicit terms plus a tail over k > N in closed
 form: Euler-Maclaurin summation (DLMF 2.10) with a certified remainder,
-plus an allowance for rounding.  ``gamma_ratio_product`` evaluates the
+plus an allowance for rounding, and checks each estimate against a second
+one at twice the head.  ``gamma_ratio_product`` evaluates the
 product that way under a :class:`TruncationPolicy` and reports the bound
 next to the value; ``ln_gamma`` (the standard library's ``math.lgamma``)
 provides the independent route the product is checked against.
@@ -69,27 +70,21 @@ def signed_ln_gamma(x: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How many explicit terms a truncated series may sum, and how to check it.
+    """How many explicit terms a truncated series may sum, and to what accuracy.
 
-    max_terms caps the total term budget (including the doubling pass);
+    max_terms caps the total term budget, the doubling pass included;
     rel_tol is the target bound on |log(true/truncated)|, i.e. roughly the
-    relative error; confirm_by_doubling re-evaluates head plus tail at twice
-    the stopping index and checks that both estimates agree within their
-    bounds.
+    relative error.
     """
 
     max_terms: int = 1_000_000
     rel_tol: float = 1e-10
-    confirm_by_doubling: bool = True
 
     def __post_init__(self):
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
-
-    def doubled(self) -> "TruncationPolicy":
-        return TruncationPolicy(2 * self.max_terms, self.rel_tol, self.confirm_by_doubling)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -103,17 +98,14 @@ class ProductResult:
     rounding included.  converged means the bound met the policy's rel_tol
     and the doubling check did not fail; when it did not, the value and
     achieved bound are still valid and returned here rather than raised,
-    since downstream comparisons consume them directly.  bound_confirmed is
-    None when confirm_by_doubling was off or the doubling pass could not run
-    within the budget.  stop says why the driver stopped: "tolerance",
-    "budget" or "doubling-failed".
+    since downstream comparisons consume them directly.  stop says why the
+    driver stopped: "tolerance", "budget" or "doubling-failed".
     """
 
     value: float
     tail_bound: float
     terms_used: int
     converged: bool
-    bound_confirmed: bool | None
     stop: str
 
 
@@ -195,14 +187,13 @@ def run_truncated_log_sum(chunk, tail, policy: TruncationPolicy) -> _LogSum:
     is the series' own certified sum over k > N, its bound covering the
     truncation remainder and the tail's rounding.  The head length N starts
     at FIRST_HEAD and doubles until the tail bound plus the head's rounding
-    allowance meets rel_tol, or until the budget runs out.  With
-    confirm_by_doubling the budget is halved so that a second estimate at
-    2N stays inside max_terms, and the two estimates must agree within the
-    sum of their bounds.  The estimate at N is returned; terms counts every
-    term summed.
+    allowance meets rel_tol, or until half the budget is spent, so that a
+    second estimate at 2N stays inside max_terms; the two estimates must
+    agree within the sum of their bounds.  The estimate at N is returned;
+    terms counts every term summed, and confirmed is None when the budget
+    left no room for the second estimate.
     """
-    budget = policy.max_terms // 2 if policy.confirm_by_doubling else policy.max_terms
-    budget = max(budget, 1)
+    budget = max(policy.max_terms // 2, 1)
 
     head = abs_head = 0.0
     summed = 0
@@ -227,7 +218,7 @@ def run_truncated_log_sum(chunk, tail, policy: TruncationPolicy) -> _LogSum:
             break
         k = min(2 * k, budget)
 
-    if not policy.confirm_by_doubling or 2 * k > policy.max_terms:
+    if 2 * k > policy.max_terms:
         return _LogSum(total, k, bound, None, stop)
     total2, bound2 = estimate(2 * k)
     gap = abs(total2 - total)
@@ -255,7 +246,7 @@ def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_P
     if s <= 0.0 and s == math.floor(s):
         raise ValueError(f"x + a = {s} is a nonpositive integer (gamma pole)")
     if a == 0.0:
-        return ProductResult(1.0, 0.0, 0, True, None, "tolerance")
+        return ProductResult(1.0, 0.0, 0, True, "tolerance")
 
     # Factor k is negative exactly while k + x + a - 1 < 0.
     mixed = max(0, math.floor(1.0 - x - a))
@@ -275,4 +266,4 @@ def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_P
     sign = -1.0 if mixed % 2 else 1.0
     value = sign * math.exp(out.total)
     converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
-    return ProductResult(value, out.tail_bound, out.terms, converged, out.confirmed, out.stop)
+    return ProductResult(value, out.tail_bound, out.terms, converged, out.stop)

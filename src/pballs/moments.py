@@ -19,10 +19,14 @@ and y in B_q^n (q the Hoelder conjugate).  Routes implemented here:
 The sign of df/dt is decided by the series of per-factor log derivatives
 (``derivative_sign_series``), and the per-term polynomial inequality that
 the termwise argument rests on is checked verbatim (``per_term_positivity``).
-The paper's claims are judged here and only here: ``kuperberg_verdict``
-holds f to the conjectured ceiling n/(n+2)^2, attained at the self-dual
-point p = 2; ``monotone_verdict`` holds f to rising on [1, 2] and falling
-on [2, inf]; ``mc_agrees`` holds a Monte Carlo estimate to a value within
+The paper's claims are judged here and only here, each on the certified
+bounds the routes report rather than on a fixed tolerance:
+``kuperberg_verdict`` holds f to the conjectured ceiling n/(n+2)^2,
+attained at the self-dual point p = 2, up to the value's own error;
+``monotone_verdict`` holds f to rising on [1, 2] and falling on [2, inf],
+a step counting only beyond the two cells' summed errors;
+``bound_comparator`` orders two products only when their gap exceeds both
+tail bounds; ``mc_agrees`` holds a Monte Carlo estimate to a value within
 MC_STD_ERRORS standard errors.  The CLI and the verify suites call these
 rules on their own grids.
 """
@@ -74,17 +78,6 @@ __all__ = [
     "remark_limit_check",
 ]
 
-# |series value| <= ZERO_TOL * (1 + sum |terms|) classifies as zero; the
-# n = 1 series must land here despite rounding.
-ZERO_TOL = 1e-12
-
-# Comparison slack for monotonicity verdicts along closed-form scans.
-MONOTONE_TOL = 1e-12
-
-# Absolute float cushion on the ceiling n/(n+2)^2, which the self-dual
-# point attains with equality.
-KUPERBERG_TOL = 1e-12
-
 # A Monte Carlo estimate agrees with a value within this many standard errors.
 MC_STD_ERRORS = 3.0
 
@@ -134,7 +127,11 @@ class MomentResult:
 
 @dataclass(frozen=True)
 class SignReport:
-    """Outcome of the derivative-sign series at one (n, t)."""
+    """Outcome of the derivative-sign series at one (n, t).
+
+    sign is ZERO when |series_value| <= tail_bound, the certified bound on
+    its absolute error: the series cannot then be told from zero.
+    """
 
     series_value: float
     sign: Sign
@@ -145,7 +142,11 @@ class SignReport:
 
 @dataclass(frozen=True)
 class ComparatorResult:
-    """P(tau_r) vs P(tau_s) for the two-parameter product comparator."""
+    """P(tau_r) vs P(tau_s) for the two-parameter product comparator.
+
+    verdict: the products are ordered as expected and further apart than
+    their tail bounds allow either to be off.
+    """
 
     product_r: float
     product_s: float
@@ -159,12 +160,13 @@ class ComparatorResult:
 
 @dataclass(frozen=True)
 class MonotonicityScan:
-    """(exponent, f) points on one side of 2 plus the ordering verdict.
+    """(exponent, f, error) points on one side of 2 plus the ordering verdict.
 
-    monotone: no step goes the wrong way by more than MONOTONE_TOL.
-    strict: every step goes the right way by more than MONOTONE_TOL
-    (never for n = 1, where f is constant).  first_violation is the first
-    step (p_a, p_b) that breaks the strongest order the dimension claims.
+    monotone: no step goes the wrong way by more than its two points'
+    summed errors.  strict: every step goes the right way by more than
+    that sum (never for n = 1, where f is constant).  first_violation is
+    the first step (p_a, p_b) that breaks the strongest order the
+    dimension claims.
     """
 
     points: list
@@ -245,9 +247,9 @@ def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY) -
     if not (0.0 <= tau <= 0.25):
         raise ValueError(f"tau must lie in [0, 1/4], got {tau}")
     if tau == 0.0:
-        return ProductResult(6.0 / ((n + 1) * (n + 2)), 0.0, 0, True, None, "tolerance")
+        return ProductResult(6.0 / ((n + 1) * (n + 2)), 0.0, 0, True, "tolerance")
     if tau == 0.25:
-        return ProductResult(9.0 / ((n + 2) ** 2), 0.0, 0, True, None, "tolerance")
+        return ProductResult(9.0 / ((n + 2) ** 2), 0.0, 0, True, "tolerance")
 
     _, a, b = _roots(tau)
     # log g_k(1)/g_k(3) and log g_k(n+2)/g_k(n), each root by root
@@ -265,7 +267,7 @@ def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY) -
 
     out = run_truncated_log_sum(functools.partial(moment_product_log, float(n), tau), tail, policy)
     converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
-    return ProductResult(math.exp(out.total), out.tail_bound, out.terms, converged, out.confirmed, out.stop)
+    return ProductResult(math.exp(out.total), out.tail_bound, out.terms, converged, out.stop)
 
 
 def f_product(n, p, policy: TruncationPolicy = DEFAULT_POLICY) -> MomentResult:
@@ -329,20 +331,18 @@ def derivative_sign_series(n, t: float, policy: TruncationPolicy = DEFAULT_POLIC
     be (all_terms_positive reports what was actually observed).  The tail
     beyond the head is the Euler-Maclaurin sum of m^2/((k+ma)(k+mb)), with
     g_k(m,t) = (k+ma)(k+mb); tail_bound bounds the absolute error of
-    series_value.
+    series_value, and the sign is ZERO when the value lies within it.
     """
     n = check_dimension(n)
     t = float(t)
     if not (0.0 < t <= 0.25):
         raise ValueError(f"t must lie in (0, 1/4], got {t}")
 
-    abs_sum = 0.0
     min_term = math.inf
 
     def chunk(k_lo: int, k_hi: int):
-        nonlocal abs_sum, min_term
+        nonlocal min_term
         total, abs_total, mn = sign_series_sum(float(n), t, k_lo, k_hi)
-        abs_sum += abs_total
         min_term = min(min_term, mn)
         return total, abs_total
 
@@ -357,8 +357,7 @@ def derivative_sign_series(n, t: float, policy: TruncationPolicy = DEFAULT_POLIC
         return value, r1 + rn + rm + r3 + rounding_allowance(s1 + sn + sm + s3)
 
     out = run_truncated_log_sum(chunk, tail, policy)
-    tol = ZERO_TOL * (1.0 + abs_sum)
-    if abs(out.total) <= tol:
+    if abs(out.total) <= out.tail_bound:
         sign = Sign.ZERO
     elif out.total > 0.0:
         sign = Sign.POSITIVE
@@ -402,14 +401,16 @@ def per_term_minimum(n, t: float, k_max: int):
 
 
 def monotone_verdict(n, points) -> MonotonicityScan:
-    """Judge (exponent, f) points against the paper's order on one side of 2.
+    """Judge (exponent, f, error) points against the paper's order on one side of 2.
 
     The exponents must increase strictly and lie on one side of 2; f must
     rise on [1, 2] and fall on [2, inf], the side read from the exponents.
-    A grid that straddles 2 raises ValueError.
+    error bounds the absolute error of each f, and a step is judged only
+    beyond the sum of its two points' errors.  A grid that straddles 2
+    raises ValueError.
     """
     n = check_dimension(n)
-    ps = [as_exponent(e).p for e, _ in points]
+    ps = [as_exponent(e).p for e, _, _ in points]
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError(f"grid must be strictly increasing, got {ps}")
     rising = all(p <= 2.0 for p in ps)
@@ -418,12 +419,14 @@ def monotone_verdict(n, points) -> MonotonicityScan:
     monotone = True
     strict = n >= 2
     first_violation = None
-    for pa, pb, (_, fa), (_, fb) in zip(ps, ps[1:], points, points[1:]):
-        # the step in the direction the paper claims
+    for pa, pb, (_, fa, ea), (_, fb, eb) in zip(ps, ps[1:], points, points[1:]):
+        # the step in the direction the paper claims; errors up to ea + eb
+        # on the two values could fake or hide a step that small
         step = fb - fa if rising else fa - fb
-        if step < -MONOTONE_TOL:
+        slack = ea + eb
+        if step < -slack:
             monotone = strict = False
-        elif n >= 2 and not step > MONOTONE_TOL:
+        elif n >= 2 and not step > slack:
             strict = False
         else:
             continue
@@ -437,22 +440,24 @@ def monotonicity_scan(n, grid) -> MonotonicityScan:
     exps = [as_exponent(p) for p in grid]
     if len(exps) < 2:
         raise ValueError("grid must contain at least two exponents")
-    return monotone_verdict(n, [(e, f_gamma(n, e).value) for e in exps])
+    results = [f_gamma(n, e) for e in exps]
+    return monotone_verdict(n, [(r.exponent, r.value, r.error_estimate) for r in results])
 
 
-def kuperberg_verdict(n, value: float) -> tuple[bool, float]:
+def kuperberg_verdict(result: MomentResult) -> tuple[bool, float]:
     """Whether a value of f(n, .) respects the ceiling n/(n+2)^2, with the margin.
 
-    Returns (ok, margin): margin = n/(n+2)^2 - value, and ok allows an
-    absolute KUPERBERG_TOL float cushion (the self-dual point attains equality).
+    Returns (ok, margin): margin = n/(n+2)^2 - value, and ok holds when
+    value - error_estimate <= n/(n+2)^2, so a value the ceiling bounds up to
+    its own certified error passes (the self-dual point attains equality).
     """
-    bound = kuperberg_bound(n)
-    return value <= bound + KUPERBERG_TOL, bound - value
+    bound = kuperberg_bound(result.n)
+    return result.value - result.error_estimate <= bound, bound - result.value
 
 
 def kuperberg_check(n, p) -> tuple[bool, float]:
     """kuperberg_verdict on the closed-form f(n, p)."""
-    return kuperberg_verdict(n, f_gamma(n, p).value)
+    return kuperberg_verdict(f_gamma(n, p))
 
 
 def mc_agrees(estimate, value: float) -> bool:
@@ -466,7 +471,10 @@ def bound_comparator(n, r, s, policy: TruncationPolicy = DEFAULT_POLICY) -> Comp
     R = (r-1)/r^2 and S = (s-1)/s^2 (0 at infinity).  For
     1 <= r < s <= 2 the parameter increases with the exponent, so the
     expected order is P(R) < P(S); for 2 <= r < s <= inf it decreases and
-    the order reverses.  Pairs straddling 2 are rejected.
+    the order reverses.  Pairs straddling 2 are rejected.  The verdict
+    needs the certified separation: the gap in the expected direction must
+    exceed P(R)*expm1(tail_bound_r) + P(S)*expm1(tail_bound_s), the most
+    the two values can be off.
     """
     n = check_dimension(n)
     if n < 2:
@@ -485,7 +493,9 @@ def bound_comparator(n, r, s, policy: TruncationPolicy = DEFAULT_POLICY) -> Comp
     tau_r, tau_s = as_exponent(r).t, as_exponent(s).t
     p_r = gk_ratio_product(n, tau_r, policy)
     p_s = gk_ratio_product(n, tau_s, policy)
-    verdict = p_r.value < p_s.value if expected == "less" else p_r.value > p_s.value
+    gap = p_s.value - p_r.value if expected == "less" else p_r.value - p_s.value
+    allowance = p_r.value * math.expm1(p_r.tail_bound) + p_s.value * math.expm1(p_s.tail_bound)
+    verdict = gap > allowance
     return ComparatorResult(
         p_r.value, p_s.value, tau_r, tau_s, expected, verdict, p_r.tail_bound, p_s.tail_bound
     )

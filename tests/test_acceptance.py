@@ -93,7 +93,7 @@ def test_criterion_04_conjugate_symmetry(routes):
 
 def test_criterion_05_bound_grid(monotonicity):
     _assert_criterion(
-        5, "f(n,p) <= n/(n+2)^2 + 1e-12 on n=1..100 x 40 p-values",
+        5, "f(n,p) - error_estimate <= n/(n+2)^2 on n=1..100 x 40 p-values",
         [monotonicity["kuperberg-bound"]],
     )
 
@@ -139,7 +139,7 @@ def test_criterion_10_gamma_ratio_product(routes):
 
 def test_criterion_11_comparators(corollaries):
     _assert_criterion(
-        11, "product comparator verdicts on both regimes, stable under doubling",
+        11, "product comparator verdicts on both regimes, separated beyond both tail bounds",
         [corollaries["comparator-forward"], corollaries["comparator-reversed"]],
     )
 

@@ -174,11 +174,15 @@ class TestVerify:
         assert "OVERALL: PASS" in out
 
     def test_mc_suite_with_zero_standard_error(self, capsys):
-        # one pair gives a standard error of 0: the check fails, nothing raises
+        # one pair gives a standard error of 0 and no sample standard
+        # deviation: the checks fail, nothing raises or warns
         code, out, _ = run_cli(capsys, "verify", "mc", "--samples", "1", "--streams", "1")
         assert code == 1
         assert "FAIL mc-estimate" in out
         assert "worst |pull| inf" in out
+        assert "FAIL mc-sampler-moments" in out
+        assert "no pull computed from fewer than 2 samples" in out
+        assert "FAIL mc-exchangeability" in out
         assert "OVERALL: FAIL" in out
 
     def test_policy_flags_accepted(self, capsys):

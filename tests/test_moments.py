@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -137,7 +138,7 @@ class TestGkRatioProduct:
     def test_exact_ends(self):
         for n in (2, 5, 20):
             for tau, exact in ((0.0, 6.0 / ((n + 1) * (n + 2))), (0.25, 9.0 / ((n + 2) ** 2))):
-                assert gk_ratio_product(n, tau) == ProductResult(exact, 0.0, 0, True, None, "tolerance")
+                assert gk_ratio_product(n, tau) == ProductResult(exact, 0.0, 0, True, "tolerance")
 
     @pytest.mark.parametrize("tau", [-0.1, 0.26, 1.0])
     def test_tau_outside_real_roots_rejected(self, tau):
@@ -205,7 +206,7 @@ class TestMonotonicityScan:
         scan = monotonicity_scan(1, [1.0, 1.5, 2.0])
         assert scan.monotone
         assert not scan.strict
-        for _, value in scan.points:
+        for _, value, _ in scan.points:
             assert value == pytest.approx(1.0 / 9.0, rel=1e-13)
 
     def test_strict_increase_for_n2(self):
@@ -246,8 +247,9 @@ class TestMonotonicityScan:
             monotonicity_scan(3, [1.5, 2.5])
 
     def test_flat_step_up_to_self_dual_is_not_strict(self):
-        # the computed f falls by about 1e-16 on this step: within the
-        # slack for monotone order, but not the strict rise claimed for n >= 2
+        # the computed f falls by about 1e-16 on this step: within the two
+        # points' summed errors, so monotone, but not the strict rise
+        # claimed for n >= 2
         scan = monotonicity_scan(3, [1.9999999, 2.0])
         assert scan.monotone
         assert not scan.strict
@@ -256,17 +258,27 @@ class TestMonotonicityScan:
 
 class TestMonotoneVerdict:
     def test_wrong_direction_is_reported(self):
-        verdict = monotone_verdict(2, [(2.0, 0.1), (3.0, 0.2), (4.0, 0.1)])
+        verdict = monotone_verdict(2, [(2.0, 0.1, 0.0), (3.0, 0.2, 0.0), (4.0, 0.1, 0.0)])
         assert not verdict.monotone and not verdict.strict
         assert verdict.first_violation == (2.0, 3.0)
 
     def test_one_point_is_vacuously_ordered(self):
-        verdict = monotone_verdict(3, [(1.5, 0.1)])
+        verdict = monotone_verdict(3, [(1.5, 0.1, 0.0)])
         assert verdict.monotone and verdict.strict
 
     def test_repeated_exponent_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            monotone_verdict(2, [(1.5, 0.1), (1.5, 0.2)])
+            monotone_verdict(2, [(1.5, 0.1, 0.0), (1.5, 0.2, 0.0)])
+
+    def test_steps_are_judged_beyond_the_summed_errors(self):
+        # each point is known to within 1e-9, so a step counts only beyond 2e-9
+        for step in (1e-9, -1e-9):
+            verdict = monotone_verdict(3, [(1.5, 0.1, 1e-9), (1.6, 0.1 + step, 1e-9)])
+            assert verdict.monotone and not verdict.strict
+            assert verdict.first_violation == (1.5, 1.6)
+        assert monotone_verdict(3, [(1.5, 0.1, 1e-9), (1.6, 0.1 + 3e-9, 1e-9)]).strict
+        wrong = monotone_verdict(3, [(1.5, 0.1, 1e-9), (1.6, 0.1 - 3e-9, 1e-9)])
+        assert not wrong.monotone
 
 
 class TestKuperbergCheck:
@@ -287,16 +299,23 @@ class TestKuperbergCheck:
 
 
 class TestKuperbergVerdict:
-    def test_slack_is_absolute(self):
+    def test_value_within_its_error_of_the_ceiling_passes(self):
         bound = kuperberg_bound(5)
-        assert kuperberg_verdict(5, bound + 0.5e-12) == (True, bound - (bound + 0.5e-12))
-        ok, margin = kuperberg_verdict(5, bound + 2e-12)
+        cell = dataclasses.replace(f_gamma(5, 2.0), value=bound + 0.5e-13, error_estimate=1e-13)
+        assert kuperberg_verdict(cell) == (True, bound - (bound + 0.5e-13))
+
+    def test_value_beyond_its_error_above_the_ceiling_fails(self):
+        bound = kuperberg_bound(5)
+        cell = dataclasses.replace(f_gamma(5, 2.0), value=bound + 2e-13, error_estimate=1e-13)
+        ok, margin = kuperberg_verdict(cell)
         assert not ok
         assert margin < 0.0
+        exact = dataclasses.replace(cell, error_estimate=0.0, value=bound + 1e-16)
+        assert not kuperberg_verdict(exact)[0]
 
     def test_check_is_the_verdict_on_the_closed_form(self):
         for n, p in [(2, 2.0), (7, 1.3), (40, math.inf)]:
-            assert kuperberg_check(n, p) == kuperberg_verdict(n, f_gamma(n, p).value)
+            assert kuperberg_check(n, p) == kuperberg_verdict(f_gamma(n, p))
 
 
 class TestMcAgrees:
@@ -342,6 +361,15 @@ class TestBoundComparator:
         res = bound_comparator(5, 1.2, 1.8, FAST)
         assert res.verdict
         assert res.product_r < res.product_s
+
+    def test_gap_below_the_tail_bounds_is_no_verdict(self):
+        # the products are in the expected order, but closer than their
+        # bounds allow either to be off
+        res = bound_comparator(5, 1.5, 1.5 + 1e-12)
+        assert res.product_r < res.product_s
+        allowance = res.product_r * math.expm1(res.tail_bound_r) + res.product_s * math.expm1(res.tail_bound_s)
+        assert res.product_s - res.product_r < allowance
+        assert not res.verdict
 
     @pytest.mark.parametrize("r,s", [(1.5, 3.0), (1.0, 2.5), (2.0, 2.0), (3.0, 2.5), (0.5, 1.5)])
     def test_bad_pairs_rejected(self, r, s):

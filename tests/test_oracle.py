@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pballs.gamma_core import gamma_ratio_product
-from pballs.moments import Sign, derivative_sign_series, f_gamma, f_product, routes_agree
+from pballs.moments import Sign, derivative_sign_series, f_gamma, f_product, kuperberg_check, routes_agree
 from pballs.pball import Exponent
 
 EPS = 2.0**-52
@@ -76,6 +76,21 @@ def test_closed_form_bound_and_route_agreement(n, p):
     # error_estimate is 0 at the endpoints, whose exact ratio is rounded once
     assert float(abs(mpmath.mpf(fg.value) - ref)) <= fg.error_estimate + EPS * float(ref)
     assert routes_agree(fg, f_product(n, p))
+
+
+@given(dimensions, exponents)
+@settings(max_examples=300, deadline=None)
+def test_ceiling_holds_within_the_certified_error(n, p):
+    ok, _ = kuperberg_check(n, p)
+    assert ok
+
+
+@given(dimensions, exponents)
+@settings(max_examples=300, deadline=None)
+def test_conjugate_symmetry_within_both_bounds(n, p):
+    e = Exponent(p)
+    fp, fq = f_gamma(n, e), f_gamma(n, e.conjugate())
+    assert abs(fp.value - fq.value) <= fp.error_estimate + fq.error_estimate
 
 
 @pytest.mark.parametrize("x,a", [
