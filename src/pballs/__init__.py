@@ -7,9 +7,7 @@ claims, and the conjectured ceiling n/(n+2)^2 relating them.
 """
 
 from .gamma_core import (
-    DEFAULT_POLICY,
     ProductResult,
-    TruncationPolicy,
     gamma_ratio_product,
     ln_beta,
     ln_gamma,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Check",
     "ComparatorResult",
-    "DEFAULT_POLICY",
     "Exponent",
     "MAX_DIMENSION",
     "MCConfig",
@@ -66,7 +63,6 @@ __all__ = [
     "SUITE_NAMES",
     "Sign",
     "SignReport",
-    "TruncationPolicy",
     "as_exponent",
     "bound_comparator",
     "check_dimension",

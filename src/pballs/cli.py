@@ -14,7 +14,6 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .gamma_core import TruncationPolicy
 from .moments import (
     MomentResult,
     f_gamma,
@@ -114,14 +113,12 @@ def _parse_n_list(text: str) -> list[int]:
     return out
 
 
-def build_report_row(
-    n: int, p: float, policy: TruncationPolicy, mc: MCConfig | None
-) -> tuple[ReportRow, MomentResult]:
+def build_report_row(n: int, p: float, mc: MCConfig | None) -> tuple[ReportRow, MomentResult]:
     """The report row of one (n, p) cell and the closed-form result it was judged on."""
     e = as_exponent(p)
     closed = f_gamma(n, e)
     fg = closed.value
-    fp = f_product(n, e, policy)
+    fp = f_product(n, e)
     bound_ok, margin = kuperberg_verdict(closed)
     f_mc = mc_se = mc_ok = None
     if mc is not None:
@@ -143,10 +140,6 @@ def _emit_rows(rows: list[ReportRow], fmt: str, out) -> None:
         print(_line(row, fmt), file=out)
 
 
-def _policy_from_args(args) -> TruncationPolicy:
-    return TruncationPolicy(max_terms=args.max_terms, rel_tol=args.rel_tol)
-
-
 def _mc_from_args(args) -> MCConfig | None:
     if args.samples is None:
         return None
@@ -154,18 +147,16 @@ def _mc_from_args(args) -> MCConfig | None:
 
 
 def cmd_eval(args) -> int:
-    policy = _policy_from_args(args)
-    row, _ = build_report_row(args.n, _parse_p(args.p), policy, _mc_from_args(args))
+    row, _ = build_report_row(args.n, _parse_p(args.p), _mc_from_args(args))
     _emit_rows([row], args.format, sys.stdout)
     return 0 if all(row.verdicts()) else 1
 
 
 def cmd_scan(args) -> int:
-    policy = _policy_from_args(args)
     mc = _mc_from_args(args)
     ns = _parse_n_list(args.n)
     ps = _parse_p_list(args.p)
-    cells = [build_report_row(n, p, policy, mc) for n in ns for p in ps]
+    cells = [build_report_row(n, p, mc) for n in ns for p in ps]
     rows = [row for row, _ in cells]
     _emit_rows(rows, args.format, sys.stdout)
     ok = all(all(row.verdicts()) for row in rows)
@@ -197,9 +188,8 @@ def cmd_verify(args) -> int:
     if suite not in SUITE_NAMES:
         print(f"verify: unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
-    policy = _policy_from_args(args)
     samples = args.samples if args.samples is not None else 1_000_000
-    checks = run_suite(suite, policy=policy, samples=samples, seed=args.seed, streams=args.streams)
+    checks = run_suite(suite, samples=samples, seed=args.seed, streams=args.streams)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     ok = all(c.passed for c in checks)
@@ -215,8 +205,6 @@ def _add_common_flags(sub, with_np: bool) -> None:
     sub.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     sub.add_argument("--samples", type=int, default=None, help="Monte Carlo pair count (enables the MC column)")
     sub.add_argument("--streams", type=int, default=8, help="independent Monte Carlo substreams")
-    sub.add_argument("--max-terms", type=int, default=1_000_000, help="product term budget")
-    sub.add_argument("--rel-tol", type=float, default=1e-10, help="product tail-bound target")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -10,23 +10,22 @@ differences of logs of linear terms.  ``run_truncated_log_sum`` sums such
 series as a short head of explicit terms plus a tail over k > N in closed
 form: Euler-Maclaurin summation (DLMF 2.10) with a certified remainder,
 plus an allowance for rounding, and checks each estimate against a second
-one at twice the head.  ``gamma_ratio_product`` evaluates the
-product that way under a :class:`TruncationPolicy` and reports the bound
-next to the value; ``ln_gamma`` (the standard library's ``math.lgamma``)
-provides the independent route the product is checked against.
+one at twice the head, all within the fixed limits MAX_TERMS and REL_TOL.
+``gamma_ratio_product`` evaluates the product that way and reports the
+bound next to the value; ``ln_gamma`` (the standard library's
+``math.lgamma``) provides the independent route the product is checked
+against.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._kernels import gamma_ratio_log
 
 __all__ = [
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
     "ProductResult",
     "ln_gamma",
     "ln_beta",
@@ -69,44 +68,25 @@ def signed_ln_gamma(x: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class TruncationPolicy:
-    """How many explicit terms a truncated series may sum, and to what accuracy.
-
-    max_terms caps the total term budget, the doubling pass included;
-    rel_tol is the target bound on |log(true/truncated)|, i.e. roughly the
-    relative error.
-    """
-
-    max_terms: int = 1_000_000
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError("rel_tol must lie in (0, 1)")
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
-@dataclass(frozen=True)
 class ProductResult:
     """A truncated product value plus its certified accuracy.
 
     tail_bound bounds |log(true/value)| (approximately the relative error),
-    rounding included.  converged means the bound met the policy's rel_tol
-    and the doubling check did not fail; when it did not, the value and
-    achieved bound are still valid and returned here rather than raised,
-    since downstream comparisons consume them directly.  stop says why the
-    driver stopped: "tolerance", "budget" or "doubling-failed".
+    rounding included.  stop says why the driver stopped: "tolerance",
+    "budget" or "doubling-failed"; converged is stop == "tolerance", the
+    bound met REL_TOL and the doubling check did not fail.  When it is
+    False the value and achieved bound are still valid and returned here
+    rather than raised, since downstream comparisons consume them directly.
     """
 
     value: float
     tail_bound: float
     terms_used: int
-    converged: bool
+    converged: bool = field(init=False)
     stop: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "converged", self.stop == "tolerance")
 
 
 @dataclass(frozen=True)
@@ -114,11 +94,19 @@ class _LogSum:
     total: float
     terms: int
     tail_bound: float
-    confirmed: bool | None
+    confirmed: bool
     stop: str
 
 
 EPS = 2.0**-52
+
+# The driver's contract: at most MAX_TERMS explicit terms per series, the
+# doubling pass included (even, so that the head stops at MAX_TERMS // 2
+# and its second estimate always fits), and a head that stops growing once
+# the bound on |log(true/truncated)|, roughly the relative error, meets
+# REL_TOL.
+MAX_TERMS = 10**6
+REL_TOL = 1e-10
 
 # The head the driver sums before its first estimate, and the number of
 # Bernoulli corrections in every Euler-Maclaurin tail.
@@ -179,7 +167,7 @@ def log_pair_tail(x0: float, pairs) -> tuple[float, float]:
     return value, remainder + rounding_allowance(scale)
 
 
-def run_truncated_log_sum(chunk, tail, policy: TruncationPolicy) -> _LogSum:
+def run_truncated_log_sum(chunk, tail) -> _LogSum:
     """Sum a convergent series as a computed head plus a certified tail.
 
     ``chunk(k_lo, k_hi) -> (partial, abs_partial)`` sums the terms
@@ -187,13 +175,13 @@ def run_truncated_log_sum(chunk, tail, policy: TruncationPolicy) -> _LogSum:
     is the series' own certified sum over k > N, its bound covering the
     truncation remainder and the tail's rounding.  The head length N starts
     at FIRST_HEAD and doubles until the tail bound plus the head's rounding
-    allowance meets rel_tol, or until half the budget is spent, so that a
-    second estimate at 2N stays inside max_terms; the two estimates must
+    allowance meets REL_TOL, or until it reaches MAX_TERMS // 2, so that a
+    second estimate at 2N stays inside MAX_TERMS; the two estimates must
     agree within the sum of their bounds.  The estimate at N is returned;
-    terms counts every term summed, and confirmed is None when the budget
-    left no room for the second estimate.
+    terms counts every term summed, and confirmed says whether the two
+    estimates agreed.
     """
-    budget = max(policy.max_terms // 2, 1)
+    budget = MAX_TERMS // 2
 
     head = abs_head = 0.0
     summed = 0
@@ -207,10 +195,10 @@ def run_truncated_log_sum(chunk, tail, policy: TruncationPolicy) -> _LogSum:
         value, bound = tail(k)
         return head + value, bound + (k + _ROUNDING_ULPS) * EPS * abs_head
 
-    k = min(FIRST_HEAD, budget)
+    k = FIRST_HEAD
     while True:
         total, bound = estimate(k)
-        if bound <= policy.rel_tol:
+        if bound <= REL_TOL:
             stop = "tolerance"
             break
         if k >= budget:
@@ -218,8 +206,6 @@ def run_truncated_log_sum(chunk, tail, policy: TruncationPolicy) -> _LogSum:
             break
         k = min(2 * k, budget)
 
-    if 2 * k > policy.max_terms:
-        return _LogSum(total, k, bound, None, stop)
     total2, bound2 = estimate(2 * k)
     gap = abs(total2 - total)
     if gap > bound + bound2:
@@ -227,7 +213,7 @@ def run_truncated_log_sum(chunk, tail, policy: TruncationPolicy) -> _LogSum:
     return _LogSum(total, 2 * k, bound, True, stop)
 
 
-def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_POLICY) -> ProductResult:
+def gamma_ratio_product(x: float, a: float) -> ProductResult:
     """Truncated product evaluation of Gamma(1-a)*Gamma(x+a)/Gamma(x).
 
     Requires x > 0, a < 1, and x+a not a nonpositive integer (a factor
@@ -246,7 +232,7 @@ def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_P
     if s <= 0.0 and s == math.floor(s):
         raise ValueError(f"x + a = {s} is a nonpositive integer (gamma pole)")
     if a == 0.0:
-        return ProductResult(1.0, 0.0, 0, True, "tolerance")
+        return ProductResult(1.0, 0.0, 0, "tolerance")
 
     # Factor k is negative exactly while k + x + a - 1 < 0.
     mixed = max(0, math.floor(1.0 - x - a))
@@ -262,8 +248,6 @@ def gamma_ratio_product(x: float, a: float, policy: TruncationPolicy = DEFAULT_P
             return 0.0, math.inf
         return log_pair_tail(x0, pairs)
 
-    out = run_truncated_log_sum(functools.partial(gamma_ratio_log, x, a), tail, policy)
+    out = run_truncated_log_sum(functools.partial(gamma_ratio_log, x, a), tail)
     sign = -1.0 if mixed % 2 else 1.0
-    value = sign * math.exp(out.total)
-    converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
-    return ProductResult(value, out.tail_bound, out.terms, converged, out.stop)
+    return ProductResult(sign * math.exp(out.total), out.tail_bound, out.terms, out.stop)

@@ -14,7 +14,8 @@ and y in B_q^n (q the Hoelder conjugate).  Routes implemented here:
   between, g_k(m,t) = (k + ma)(k + mb) with a = 2t/(1 + sqrt(1-4t)) and
   b = 1 - a, so each log factor is a sum of differences of logs of linear
   terms, and the tail beyond a short head is summed in closed form with a
-  certified Euler-Maclaurin remainder.
+  certified Euler-Maclaurin remainder, under the driver's fixed limits
+  MAX_TERMS and REL_TOL (:mod:`pballs.gamma_core`).
 
 The sign of df/dt is decided by the series of per-factor log derivatives
 (``derivative_sign_series``), and the per-term polynomial inequality that
@@ -25,6 +26,8 @@ bounds the routes report rather than on a fixed tolerance:
 attained at the self-dual point p = 2, up to the value's own error;
 ``monotone_verdict`` holds f to rising on [1, 2] and falling on [2, inf],
 a step counting only beyond the two cells' summed errors;
+``routes_agree`` holds the closed form and the product to each other
+within their two bounds, on a product bound that met REL_TOL;
 ``bound_comparator`` orders two products only when their gap exceeds both
 tail bounds; ``mc_agrees`` holds a Monte Carlo estimate to a value within
 MC_STD_ERRORS standard errors.  The CLI and the verify suites call these
@@ -40,11 +43,9 @@ from dataclasses import dataclass
 
 from ._kernels import ineq3_min, moment_product_log, sign_series_sum
 from .gamma_core import (
-    DEFAULT_POLICY,
     EM_ORDER,
     EPS,
     ProductResult,
-    TruncationPolicy,
     ln_gamma,
     log_pair_tail,
     rounding_allowance,
@@ -111,8 +112,8 @@ class MomentResult:
     error_estimate is an absolute bound: 0 for the exact closed forms at
     the endpoints, the rounding bound of the gamma closed form elsewhere,
     value*expm1(log tail bound) for truncated products, one standard error
-    for Monte Carlo.  converged is False when a truncated product missed
-    its policy target; the value and bound remain valid.  terms_used counts
+    for Monte Carlo.  converged is False when a truncated product's bound
+    missed REL_TOL; the value and bound remain valid.  terms_used counts
     the factors a truncated product summed explicitly.
     """
 
@@ -219,11 +220,12 @@ def f_gamma(n, p) -> MomentResult:
 def routes_agree(fg: MomentResult, fp: MomentResult) -> bool:
     """Whether the closed form and the product agree within their two bounds.
 
-    The verdict also requires an informative product bound, below the value
-    itself: a bound as large as the value agrees with anything.
+    The verdict also requires an informative product bound: one that met
+    REL_TOL (converged) and lies below the value itself, since a bound as
+    large as the value agrees with anything.
     """
     gap = abs(fg.value - fp.value)
-    return gap <= fg.error_estimate + fp.error_estimate and fp.error_estimate < fp.value
+    return gap <= fg.error_estimate + fp.error_estimate and fp.converged and fp.error_estimate < fp.value
 
 
 def _roots(t: float) -> tuple[float, float, float]:
@@ -233,7 +235,7 @@ def _roots(t: float) -> tuple[float, float, float]:
     return s, a, 1.0 - a
 
 
-def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY) -> ProductResult:
+def gk_ratio_product(n, tau: float) -> ProductResult:
     """P(tau) = prod_k g_k(1,tau)g_k(n+2,tau)/(g_k(3,tau)g_k(n,tau)).
 
     Defined for tau in [0, 1/4], where the quadratics have real roots.
@@ -247,9 +249,9 @@ def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY) -
     if not (0.0 <= tau <= 0.25):
         raise ValueError(f"tau must lie in [0, 1/4], got {tau}")
     if tau == 0.0:
-        return ProductResult(6.0 / ((n + 1) * (n + 2)), 0.0, 0, True, "tolerance")
+        return ProductResult(6.0 / ((n + 1) * (n + 2)), 0.0, 0, "tolerance")
     if tau == 0.25:
-        return ProductResult(9.0 / ((n + 2) ** 2), 0.0, 0, True, "tolerance")
+        return ProductResult(9.0 / ((n + 2) ** 2), 0.0, 0, "tolerance")
 
     _, a, b = _roots(tau)
     # log g_k(1)/g_k(3) and log g_k(n+2)/g_k(n), each root by root
@@ -265,19 +267,18 @@ def gk_ratio_product(n, tau: float, policy: TruncationPolicy = DEFAULT_POLICY) -
             return 0.0, 0.0  # {1, 3} = {n, n+2}: every factor is exactly 1
         return log_pair_tail(k + 1.0, pairs)
 
-    out = run_truncated_log_sum(functools.partial(moment_product_log, float(n), tau), tail, policy)
-    converged = out.tail_bound <= policy.rel_tol and out.confirmed is not False
-    return ProductResult(math.exp(out.total), out.tail_bound, out.terms, converged, out.stop)
+    out = run_truncated_log_sum(functools.partial(moment_product_log, float(n), tau), tail)
+    return ProductResult(math.exp(out.total), out.tail_bound, out.terms, out.stop)
 
 
-def f_product(n, p, policy: TruncationPolicy = DEFAULT_POLICY) -> MomentResult:
+def f_product(n, p) -> MomentResult:
     """f(n, p) from the infinite product over the g_k quadratics.
 
     At t = 0 and t = 1/4 the telescoped closed forms are returned exactly
     (error_estimate 0).  Otherwise f = (n/9) * gk_ratio_product(n, t), and
     error_estimate is an absolute bound from the certified Euler-Maclaurin
     remainder plus rounding; converged=False flags a bound still above
-    policy.rel_tol at the term budget.
+    REL_TOL at the term budget.
     """
     n = check_dimension(n)
     e = as_exponent(p)
@@ -285,7 +286,7 @@ def f_product(n, p, policy: TruncationPolicy = DEFAULT_POLICY) -> MomentResult:
         return MomentResult(f_endpoint(n), Route.INFINITE_PRODUCT, 0.0, n, e)
     if e.t == 0.25:
         return MomentResult(n / ((n + 2) ** 2), Route.INFINITE_PRODUCT, 0.0, n, e)
-    out = gk_ratio_product(n, e.t, policy)
+    out = gk_ratio_product(n, e.t)
     value = (n / 9.0) * out.value
     error = value * math.expm1(out.tail_bound)
     return MomentResult(value, Route.INFINITE_PRODUCT, error, n, e, out.converged, out.terms_used)
@@ -321,7 +322,7 @@ def _sign_tail_piece(m: float, s: float, a: float, b: float, x0: float):
     return value, _SIGN_EM_REMAINDER * unit * h[2 * EM_ORDER + 1], scale
 
 
-def derivative_sign_series(n, t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> SignReport:
+def derivative_sign_series(n, t: float) -> SignReport:
     """Sign of df/dt from the series of per-factor log derivatives.
 
     Term k is 1/g_k(1) + (n+2)^2/g_k(n+2) - 9/g_k(3) - n^2/g_k(n)
@@ -356,7 +357,7 @@ def derivative_sign_series(n, t: float, policy: TruncationPolicy = DEFAULT_POLIC
         value = (v1 - vn) + (vm - v3)
         return value, r1 + rn + rm + r3 + rounding_allowance(s1 + sn + sm + s3)
 
-    out = run_truncated_log_sum(chunk, tail, policy)
+    out = run_truncated_log_sum(chunk, tail)
     if abs(out.total) <= out.tail_bound:
         sign = Sign.ZERO
     elif out.total > 0.0:
@@ -465,7 +466,7 @@ def mc_agrees(estimate, value: float) -> bool:
     return abs(estimate.mean - value) <= MC_STD_ERRORS * estimate.std_error
 
 
-def bound_comparator(n, r, s, policy: TruncationPolicy = DEFAULT_POLICY) -> ComparatorResult:
+def bound_comparator(n, r, s) -> ComparatorResult:
     """Compare P(R) and P(S) for exponent pairs on one side of 2.
 
     R = (r-1)/r^2 and S = (s-1)/s^2 (0 at infinity).  For
@@ -491,8 +492,8 @@ def bound_comparator(n, r, s, policy: TruncationPolicy = DEFAULT_POLICY) -> Comp
         raise ValueError(f"(r, s) = ({r}, {s}) straddles 2; both must lie on one side")
 
     tau_r, tau_s = as_exponent(r).t, as_exponent(s).t
-    p_r = gk_ratio_product(n, tau_r, policy)
-    p_s = gk_ratio_product(n, tau_s, policy)
+    p_r = gk_ratio_product(n, tau_r)
+    p_s = gk_ratio_product(n, tau_s)
     gap = p_s.value - p_r.value if expected == "less" else p_r.value - p_s.value
     allowance = p_r.value * math.expm1(p_r.tail_bound) + p_s.value * math.expm1(p_s.tail_bound)
     verdict = gap > allowance

@@ -6,7 +6,8 @@ the tolerances of the identity checks are fixed here; the paper's claims
 (the ceiling, the monotone order, the comparators and Monte Carlo
 agreement) are judged by the shared rules in :mod:`pballs.moments`, on the
 certified bounds the routes report; the CLI uses the same rules.  Suites
-that truncate a series take one policy, DEFAULT_POLICY unless given.
+that truncate a series run the driver's one fixed contract (MAX_TERMS,
+REL_TOL in :mod:`pballs.gamma_core`) and take no arguments.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamma_core import (
-    DEFAULT_POLICY,
-    TruncationPolicy,
-    gamma_ratio_product,
-    signed_ln_gamma,
-)
+from .gamma_core import gamma_ratio_product, signed_ln_gamma
 from .moments import (
     MC_STD_ERRORS,
     Sign,
@@ -140,7 +136,7 @@ def suite_endpoints() -> list[Check]:
 # --------------------------------------------------------------------------
 # routes
 
-def suite_routes(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]:
+def suite_routes() -> list[Check]:
     checks = []
 
     worst_share = 0.0
@@ -148,7 +144,7 @@ def suite_routes(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]:
     for n in range(1, 51):
         for p in ROUTE_P_GRID:
             fg = f_gamma(n, p)
-            fp = f_product(n, p, policy)
+            fp = f_product(n, p)
             dev = abs(fg.value - fp.value)
             allowed = fg.error_estimate + fp.error_estimate
             if dev > 0.0:
@@ -187,7 +183,7 @@ def suite_routes(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]:
                 s2, l2 = signed_ln_gamma(x + a)
                 s3, l3 = signed_ln_gamma(x)
                 ref_sign, ref_log = s1 * s2 * s3, l1 + l2 - l3
-            got = gamma_ratio_product(x, a, policy)
+            got = gamma_ratio_product(x, a)
             sign_ok = math.copysign(1.0, got.value) == ref_sign
             dev = abs(math.log(abs(got.value)) - ref_log) if got.value != 0.0 else math.inf
             allowed = got.tail_bound + 1e-10
@@ -222,7 +218,7 @@ def _fd_derivative_sign(n: int, t: float, step: float = 1e-5) -> float:
     return f_gamma(n, _p_of_t(hi)).value - f_gamma(n, _p_of_t(lo)).value
 
 
-def suite_monotonicity(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]:
+def suite_monotonicity() -> list[Check]:
     checks = []
 
     bound_ok = True
@@ -266,13 +262,13 @@ def suite_monotonicity(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]
     bad = []
     for n in range(2, 21):
         for t in SIGN_T_GRID:
-            report = derivative_sign_series(n, t, policy)
+            report = derivative_sign_series(n, t)
             fd = _fd_derivative_sign(n, t)
             agrees = report.sign == Sign.POSITIVE and fd > 0.0
             if not agrees:
                 sign_ok = False
                 bad.append((n, t))
-    n1 = derivative_sign_series(1, 0.2, policy)
+    n1 = derivative_sign_series(1, 0.2)
     n1_ok = n1.sign is Sign.ZERO
     checks.append(_check(
         "derivative-sign", sign_ok and n1_ok,
@@ -322,10 +318,10 @@ def suite_remark_limit() -> list[Check]:
 # --------------------------------------------------------------------------
 # comparators
 
-def suite_corollaries(policy: TruncationPolicy = DEFAULT_POLICY) -> list[Check]:
+def suite_corollaries() -> list[Check]:
     checks = []
     for label, pairs in (("forward", COMPARATOR_PAIRS_LOW), ("reversed", COMPARATOR_PAIRS_HIGH)):
-        bad = [(n, r, s) for n in (2, 5, 20) for r, s in pairs if not bound_comparator(n, r, s, policy).verdict]
+        bad = [(n, r, s) for n in (2, 5, 20) for r, s in pairs if not bound_comparator(n, r, s).verdict]
         checks.append(_check(
             f"comparator-{label}", not bad,
             f"10 (r,s) pairs x n in {{2,5,20}}, products ordered by more than their tail bounds"
@@ -431,30 +427,25 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
 # dispatch
 
 # name -> suite, in the order 'all' runs them; each entry takes
-# (policy, samples, seed, streams) and passes on what its suite uses
+# (samples, seed, streams) and passes on what its suite uses.  The suites
+# are looked up by their module-global names at call time, so that a
+# rebound name (a tracing wrapper, say) is the one that runs.
 _SUITES = {
-    "routes": lambda policy, *mc: suite_routes(policy),
-    "endpoints": lambda policy, *mc: suite_endpoints(),
-    "monotonicity": lambda policy, *mc: suite_monotonicity(policy),
-    "ineq3": lambda policy, *mc: suite_ineq3(),
-    "remark-limit": lambda policy, *mc: suite_remark_limit(),
-    "corollaries": lambda policy, *mc: suite_corollaries(policy),
-    "mc": lambda policy, *mc: suite_mc(*mc),
+    "routes": lambda *mc: suite_routes(),
+    "endpoints": lambda *mc: suite_endpoints(),
+    "monotonicity": lambda *mc: suite_monotonicity(),
+    "ineq3": lambda *mc: suite_ineq3(),
+    "remark-limit": lambda *mc: suite_remark_limit(),
+    "corollaries": lambda *mc: suite_corollaries(),
+    "mc": lambda *mc: suite_mc(*mc),
 }
 
 SUITE_NAMES = (*_SUITES, "all")
 
 
-def run_suite(
-    name: str,
-    policy: TruncationPolicy | None = None,
-    samples: int = 1_000_000,
-    seed: int = 42,
-    streams: int = 8,
-) -> list[Check]:
+def run_suite(name: str, samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list[Check]:
     """Run one named suite (or 'all', every suite in order) and return its checks."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    policy = policy or DEFAULT_POLICY
     names = _SUITES if name == "all" else (name,)
-    return [check for suite in names for check in _SUITES[suite](policy, samples, seed, streams)]
+    return [check for suite in names for check in _SUITES[suite](samples, seed, streams)]

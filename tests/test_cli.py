@@ -185,7 +185,10 @@ class TestVerify:
         assert "FAIL mc-exchangeability" in out
         assert "OVERALL: FAIL" in out
 
-    def test_policy_flags_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "corollaries", "--max-terms", "20000", "--rel-tol", "1e-6")
-        assert code == 0
-        assert "comparator-forward" in out
+    @pytest.mark.parametrize("flag", ["--max-terms=20000", "--rel-tol=1e-6"])
+    def test_truncation_flags_are_usage_errors(self, capsys, flag):
+        # the driver's limits are fixed constants, not options
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "corollaries", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

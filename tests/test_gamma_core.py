@@ -1,14 +1,15 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pballs.gamma_core import (
-    DEFAULT_POLICY,
     FIRST_HEAD,
-    TruncationPolicy,
+    MAX_TERMS,
+    REL_TOL,
     gamma_ratio_product,
     ln_beta,
     ln_gamma,
@@ -97,47 +98,40 @@ class TestSignedLnGamma:
             signed_ln_gamma(x)
 
 
-class TestTruncationPolicy:
-    def test_defaults(self):
-        assert DEFAULT_POLICY.max_terms == 1_000_000
-        assert DEFAULT_POLICY.rel_tol == 1e-10
-
-    @pytest.mark.parametrize("kwargs", [
-        {"max_terms": 0},
-        {"rel_tol": 0.0},
-        {"rel_tol": 1.0},
-        {"rel_tol": -1e-3},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            TruncationPolicy(**kwargs)
-
-
 def _telescoping_chunk(k_lo, k_hi):
     # 1/(k(k+1)) = 1/k - 1/(k+1): the sum over k > N is exactly 1/(N+1)
-    partial = sum(1.0 / (k * (k + 1.0)) for k in range(k_lo, k_hi + 1))
+    k = np.arange(k_lo, k_hi + 1, dtype=float)
+    partial = float(np.sum(1.0 / (k * (k + 1.0))))
     return partial, partial
 
 
 class TestTruncationDriver:
+    def test_fixed_contract(self):
+        # an even budget: the head stops at half of it, so the doubling
+        # pass always fits
+        assert MAX_TERMS == 10**6 and MAX_TERMS % 2 == 0
+        assert REL_TOL == 1e-10
+
     def test_exact_tail_meets_tolerance_at_first_head(self):
-        out = run_truncated_log_sum(_telescoping_chunk, lambda n: (1.0 / (n + 1.0), 0.0), DEFAULT_POLICY)
+        out = run_truncated_log_sum(_telescoping_chunk, lambda n: (1.0 / (n + 1.0), 0.0))
         assert out.stop == "tolerance"
         assert out.confirmed is True
         assert out.terms == 2 * FIRST_HEAD
-        assert abs(out.total - 1.0) <= out.tail_bound
+        assert abs(out.total - 1.0) <= out.tail_bound <= REL_TOL
 
     def test_budget_stop(self):
         # a tail that certifies nothing: the head doubles up to half the
         # budget, and the doubling pass spends the rest
-        out = run_truncated_log_sum(_telescoping_chunk, lambda n: (0.0, math.inf), TruncationPolicy(100, 1e-10))
+        out = run_truncated_log_sum(_telescoping_chunk, lambda n: (0.0, math.inf))
         assert out.stop == "budget"
-        assert out.terms == 100
+        assert out.confirmed is True
+        assert out.terms == MAX_TERMS
         assert math.isinf(out.tail_bound)
+        assert abs(out.total - 1.0) <= 2.0 / MAX_TERMS
 
     def test_wrong_tail_fails_the_doubling_check(self):
         # claiming a zero tail is refuted by the terms between N and 2N
-        out = run_truncated_log_sum(_telescoping_chunk, lambda n: (0.0, 0.0), DEFAULT_POLICY)
+        out = run_truncated_log_sum(_telescoping_chunk, lambda n: (0.0, 0.0))
         assert out.stop == "doubling-failed"
         assert out.confirmed is False
         assert out.tail_bound >= abs(out.total - 1.0) - 1.0 / (2 * FIRST_HEAD + 1)
@@ -150,8 +144,9 @@ def _factor(x, a, k):
 class TestGammaRatioProduct:
     def test_half_integer_example(self):
         # Gamma(1/2)*Gamma(3/2)/Gamma(1) = pi/2
-        out = gamma_ratio_product(1.0, 0.5, TruncationPolicy(400_000, 1e-10))
+        out = gamma_ratio_product(1.0, 0.5)
         assert abs(math.log(out.value) - math.log(math.pi / 2.0)) <= out.tail_bound
+        assert out.converged == (out.stop == "tolerance")
 
     def test_a_zero_short_circuit(self):
         out = gamma_ratio_product(2.0, 0.0)
@@ -162,17 +157,19 @@ class TestGammaRatioProduct:
 
     def test_third_example_against_log_gamma_route(self):
         ref = math.exp(ln_gamma(2.0 / 3.0) + ln_gamma(4.0 / 3.0))
-        out = gamma_ratio_product(1.0, 1.0 / 3.0, TruncationPolicy(400_000, 1e-10))
+        out = gamma_ratio_product(1.0, 1.0 / 3.0)
         assert abs(math.log(out.value) - math.log(ref)) <= out.tail_bound
+        assert out.converged == (out.stop == "tolerance")
 
     def test_negative_ratio_cell(self):
         # x + a < 0 makes exactly the k=1 factor negative
-        out = gamma_ratio_product(0.1, -0.9, TruncationPolicy(200_000, 1e-10))
+        out = gamma_ratio_product(0.1, -0.9)
         s2, l2 = signed_ln_gamma(0.1 - 0.9)
         ref_log = ln_gamma(1.9) + l2 - ln_gamma(0.1)
         assert out.value < 0.0
         assert s2 == -1.0
         assert abs(math.log(-out.value) - ref_log) <= out.tail_bound + 1e-12
+        assert out.converged == (out.stop == "tolerance")
 
     @pytest.mark.parametrize("x,a", [(0.0, 0.5), (-1.0, 0.5), (1.0, 1.0), (1.0, 2.0), (0.5, -0.5), (1.0, -1.0)])
     def test_domain_errors(self, x, a):
@@ -180,24 +177,20 @@ class TestGammaRatioProduct:
             gamma_ratio_product(x, a)
 
     def test_unreached_tolerance_is_flagged_not_raised(self):
-        # a budget below the first head length leaves a tail bound of ~1e-10
-        out = gamma_ratio_product(10.0, 0.9, TruncationPolicy(8, 1e-12))
+        # the tail needs every argument k + x + a - 1 >= 1, so with
+        # x + a < -MAX_TERMS / 2 no head inside the budget admits one: the
+        # driver spends the budget and reports an infinite bound
+        out = gamma_ratio_product(0.25, -(MAX_TERMS // 2) - 0.5)
         assert not out.converged
         assert out.stop == "budget"
-        assert out.terms_used <= 8
-        assert out.tail_bound > 1e-12
-        ref_log = ln_gamma(0.1) + ln_gamma(10.9) - ln_gamma(10.0)
-        assert abs(math.log(out.value) - ref_log) <= out.tail_bound
-
-    def test_loose_tolerance_converges_early(self):
-        out = gamma_ratio_product(2.0, 0.5, TruncationPolicy(1_000_000, 1e-3))
-        assert out.converged
-        assert out.terms_used < 1_000_000
+        assert out.terms_used == MAX_TERMS
+        assert math.isinf(out.tail_bound)
 
     def test_doubling_confirmation_reported(self):
-        out = gamma_ratio_product(2.0, 0.5, TruncationPolicy(10_000, 1e-10))
+        out = gamma_ratio_product(2.0, 0.5)
         assert out.stop == "tolerance" and out.converged  # the doubling check did not fail
-        assert out.terms_used <= 10_000  # doubling stays inside the budget
+        assert out.tail_bound <= REL_TOL
+        assert out.terms_used == 2 * FIRST_HEAD  # the first head, and its doubling pass
 
     def test_factor_sanity(self):
         # factors tend to 1; they are positive throughout whenever x + a > 0,

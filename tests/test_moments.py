@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pballs.gamma_core import ProductResult, TruncationPolicy
+from pballs.gamma_core import FIRST_HEAD, REL_TOL, ProductResult
 from pballs.moments import (
     Route,
     Sign,
@@ -25,9 +25,6 @@ from pballs.moments import (
     remark_limit_check,
 )
 from pballs.pball import Exponent
-
-FAST = TruncationPolicy(max_terms=50_000, rel_tol=1e-8)
-
 
 class TestGTerm:
     @pytest.mark.parametrize(
@@ -81,7 +78,7 @@ class TestFGamma:
     def test_bound_invariant(self):
         for n in (1, 2, 7, 40):
             for p in (1.0, 1.4, 2.0, 6.0, math.inf):
-                for r in (f_gamma(n, p), f_product(n, p, FAST)):
+                for r in (f_gamma(n, p), f_product(n, p)):
                     assert 0.0 < r.value <= kuperberg_bound(n) + r.error_estimate + 1e-12
 
 
@@ -100,27 +97,22 @@ class TestFProduct:
     def test_agrees_with_gamma_within_reported_error(self):
         for n, p in [(5, 1.25), (2, 1.5), (20, 1.1), (3, 1.9)]:
             fg = f_gamma(n, p).value
-            fp = f_product(n, p, FAST)
+            fp = f_product(n, p)
             assert abs(fp.value - fg) <= fp.error_estimate + 1e-10 * fg
 
     def test_default_policy_converges(self):
         r = f_product(5, 1.25)
         assert r.converged
         assert 0.0 < r.error_estimate <= 1e-10 * r.value
+        assert r.terms_used == 2 * FIRST_HEAD
 
-    def test_loose_tolerance_converges(self):
-        r = f_product(5, 1.25, TruncationPolicy(1_000_000, 1e-4))
+    def test_bound_sits_at_the_rounding_floor(self):
+        # the first head already meets REL_TOL, with the bound far below it
+        r = f_product(7, 1.5)
         assert r.converged
-
-    def test_stricter_policy_tightens_error(self):
-        # the first head already meets any target above the rounding floor
-        loose = f_product(7, 1.5, TruncationPolicy(1_000_000, 1e-4))
-        tight = f_product(7, 1.5, TruncationPolicy(1_000_000, 1e-12))
-        assert loose.converged and tight.converged
-        assert tight.error_estimate <= loose.error_estimate
-        assert tight.error_estimate <= 1e-12 * tight.value
+        assert r.error_estimate <= 1e-12 * r.value
         fg = f_gamma(7, 1.5)
-        assert abs(tight.value - fg.value) <= tight.error_estimate + fg.error_estimate
+        assert abs(r.value - fg.value) <= r.error_estimate + fg.error_estimate
 
     def test_factor_deviation_quadratic_decay(self):
         # fit C at k = 1e3, validate the k^-2 law at k = 1e4
@@ -138,7 +130,7 @@ class TestGkRatioProduct:
     def test_exact_ends(self):
         for n in (2, 5, 20):
             for tau, exact in ((0.0, 6.0 / ((n + 1) * (n + 2))), (0.25, 9.0 / ((n + 2) ** 2))):
-                assert gk_ratio_product(n, tau) == ProductResult(exact, 0.0, 0, True, "tolerance")
+                assert gk_ratio_product(n, tau) == ProductResult(exact, 0.0, 0, "tolerance")
 
     @pytest.mark.parametrize("tau", [-0.1, 0.26, 1.0])
     def test_tau_outside_real_roots_rejected(self, tau):
@@ -146,34 +138,35 @@ class TestGkRatioProduct:
             gk_ratio_product(3, tau)
 
     def test_matches_f_product_scaling(self):
-        res = gk_ratio_product(3, 0.2, FAST)
-        r = f_product(3, 2.0 / (1.0 + math.sqrt(1.0 - 0.8)), FAST)
+        res = gk_ratio_product(3, 0.2)
+        r = f_product(3, 2.0 / (1.0 + math.sqrt(1.0 - 0.8)))
         assert (3.0 / 9.0) * res.value == pytest.approx(r.value, rel=1e-10)
-        assert res.converged and res.tail_bound <= FAST.rel_tol
+        assert res.converged and res.tail_bound <= REL_TOL
+        assert res.converged == (res.stop == "tolerance")
 
 
 class TestDerivativeSignSeries:
     def test_n1_series_is_identically_zero(self):
-        report = derivative_sign_series(1, 0.2, FAST)
+        report = derivative_sign_series(1, 0.2)
         assert report.series_value == 0.0
         assert report.sign is Sign.ZERO
         assert not report.all_terms_positive
 
     @pytest.mark.parametrize("n,t", [(2, 0.1), (2, 0.25), (5, 0.01), (10, 0.25), (20, 0.05)])
     def test_positive_for_higher_dimensions(self, n, t):
-        report = derivative_sign_series(n, t, FAST)
+        report = derivative_sign_series(n, t)
         assert report.sign is Sign.POSITIVE
 
     def test_not_termwise_positive_near_self_dual(self):
         # the k=1 term is negative at (n=2, t=1/4) even though the sum is not
-        report = derivative_sign_series(2, 0.25, FAST)
+        report = derivative_sign_series(2, 0.25)
         assert report.sign is Sign.POSITIVE
         assert not report.all_terms_positive
 
     def test_sign_matches_finite_difference(self):
         h = 1e-5
         for n, t in [(2, 0.1), (10, 0.2)]:
-            report = derivative_sign_series(n, t, FAST)
+            report = derivative_sign_series(n, t)
             p_lo = 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * (t - h)))
             p_hi = 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * (t + h)))
             fd = f_gamma(n, p_hi).value - f_gamma(n, p_lo).value
@@ -344,21 +337,21 @@ class TestRunSuite:
 
 class TestBoundComparator:
     def test_forward_regime_telescoped_endpoints(self):
-        res = bound_comparator(2, 1.0, 2.0, FAST)
+        res = bound_comparator(2, 1.0, 2.0)
         assert res.product_r == 0.5
         assert res.product_s == 9.0 / 16.0
         assert res.expected == "less"
         assert res.verdict
 
     def test_reversed_regime(self):
-        res = bound_comparator(3, 2.0, math.inf, FAST)
+        res = bound_comparator(3, 2.0, math.inf)
         assert res.product_r == 9.0 / 25.0
         assert res.product_s == 6.0 / 20.0
         assert res.expected == "greater"
         assert res.verdict
 
     def test_interior_pair(self):
-        res = bound_comparator(5, 1.2, 1.8, FAST)
+        res = bound_comparator(5, 1.2, 1.8)
         assert res.verdict
         assert res.product_r < res.product_s
 
@@ -374,11 +367,11 @@ class TestBoundComparator:
     @pytest.mark.parametrize("r,s", [(1.5, 3.0), (1.0, 2.5), (2.0, 2.0), (3.0, 2.5), (0.5, 1.5)])
     def test_bad_pairs_rejected(self, r, s):
         with pytest.raises(ValueError):
-            bound_comparator(4, r, s, FAST)
+            bound_comparator(4, r, s)
 
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
-            bound_comparator(1, 1.0, 2.0, FAST)
+            bound_comparator(1, 1.0, 2.0)
 
 
 class TestRemarkLimit:

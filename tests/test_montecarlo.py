@@ -109,11 +109,10 @@ class TestEstimateF:
 
     def test_three_route_agreement(self):
         # closed form, product, and sampling estimates of the same number
-        from pballs.gamma_core import TruncationPolicy
         from pballs.moments import f_product
 
         fg = f_gamma(3, 1.5).value
-        fp = f_product(3, 1.5, TruncationPolicy(100_000, 1e-8))
+        fp = f_product(3, 1.5)
         est = estimate_f(3, 1.5, SMALL)
         assert abs(fp.value - fg) <= fp.error_estimate + 1e-10 * fg
         assert abs(est.mean - fg) <= 3.0 * est.std_error

@@ -3,18 +3,23 @@
 f_product sums a short head of factors and the tail in closed form; these
 tests hold the result, its certified bound and its term count against the
 loggamma closed form over the whole documented domain, 1 <= n <= 10^6 and
-p in [1, inf], with the draws biased toward the awkward corners.
+p in [1, inf], with the draws biased toward the awkward corners.  The
+same draws hold the endpoint values to their exact closed form and the
+CLI's exit status to the verdicts it prints.
 """
 
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pballs.cli import CSV_HEADER, main
 from pballs.gamma_core import gamma_ratio_product
-from pballs.moments import Sign, derivative_sign_series, f_gamma, f_product, kuperberg_check, routes_agree
+from pballs.moments import Sign, derivative_sign_series, f_endpoint, f_gamma, f_product, kuperberg_check, routes_agree
 from pballs.pball import Exponent
 
 EPS = 2.0**-52
@@ -76,6 +81,55 @@ def test_closed_form_bound_and_route_agreement(n, p):
     # error_estimate is 0 at the endpoints, whose exact ratio is rounded once
     assert float(abs(mpmath.mpf(fg.value) - ref)) <= fg.error_estimate + EPS * float(ref)
     assert routes_agree(fg, f_product(n, p))
+
+
+endpoint_exponents = st.one_of(
+    st.floats(min_value=1.0, max_value=1.0 + 1e-12, exclude_max=True),
+    st.just(math.inf),
+)
+
+
+@given(dimensions, endpoint_exponents)
+@settings(max_examples=200, deadline=None)
+def test_endpoint_routes_are_exact(n, p):
+    # p in [1, 1 + 1e-12) snaps to p = 1; there and at p = inf both
+    # deterministic routes return the exact ratio 2n/(3(n+1)(n+2))
+    for r in (f_gamma(n, p), f_product(n, p)):
+        assert r.value == f_endpoint(n)
+        assert r.error_estimate == 0.0
+
+
+def _exponent_token(p: float) -> str:
+    return "inf" if math.isinf(p) else repr(p)
+
+
+@given(
+    st.sampled_from(["scan", "eval"]),
+    st.lists(dimensions, min_size=1, max_size=3),
+    st.lists(exponents, min_size=1, max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_cli_exit_status_is_the_conjunction_of_its_verdicts(command, ns, ps, with_mc):
+    if command == "eval":
+        ns, ps = ns[:1], ps[:1]
+    argv = [command, "--n", ",".join(map(str, ns)), "--p", ",".join(map(_exponent_token, ps))]
+    # the sampler draws n coordinates per pair: Monte Carlo only at small n
+    if with_mc and max(ns) <= 20:
+        argv += ["--samples", "64", "--seed", "1", "--streams", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    header, *rows = out.getvalue().splitlines()
+    assert header == CSV_HEADER
+    assert len(rows) == len(ns) * len(ps)
+    columns = [CSV_HEADER.split(",").index(name) for name in ("bound_ok", "routes_agree", "mc_agrees")]
+    verdicts = [row.split(",")[i] for row in rows for i in columns]
+    assert set(verdicts) <= {"true", "false", ""}
+    notes = err.getvalue().splitlines()
+    assert all(line.startswith(("# ok: monotone", "# FAIL: monotone")) for line in notes)
+    passed = "false" not in verdicts and not any(line.startswith("# FAIL") for line in notes)
+    assert code == (0 if passed else 1)
 
 
 @given(dimensions, exponents)
