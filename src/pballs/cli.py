@@ -185,11 +185,7 @@ def cmd_verify(args) -> int:
     if suite is None:
         print("verify: missing suite name", file=sys.stderr)
         return 2
-    if suite not in SUITE_NAMES:
-        print(f"verify: unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}", file=sys.stderr)
-        return 2
-    samples = args.samples if args.samples is not None else 1_000_000
-    checks = run_suite(suite, samples=samples, seed=args.seed, streams=args.streams)
+    checks = run_suite(suite, _mc_from_args(args) or MCConfig(seed=args.seed, streams=args.streams))
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     ok = all(c.passed for c in checks)
@@ -197,14 +193,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common_flags(sub, with_np: bool) -> None:
-    if with_np:
-        sub.add_argument("--n", required=True, help="dimension(s): e.g. 3 or 2..5 or 1,4,9")
-        sub.add_argument("--p", required=True, help="exponent(s): comma list of decimals or 'inf'")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+def _add_mc_flags(sub) -> None:
+    sub.add_argument("--seed", type=int, default=MCConfig.seed, help="Monte Carlo seed")
     sub.add_argument("--samples", type=int, default=None, help="Monte Carlo pair count (enables the MC column)")
-    sub.add_argument("--streams", type=int, default=8, help="independent Monte Carlo substreams")
+    sub.add_argument("--streams", type=int, default=MCConfig.streams, help="independent Monte Carlo substreams")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -217,17 +209,21 @@ def make_parser() -> argparse.ArgumentParser:
     p_eval = subs.add_parser("eval", help="one (n, p) cell")
     p_eval.add_argument("--n", required=True, type=int)
     p_eval.add_argument("--p", required=True, help="decimal exponent or 'inf'")
-    _add_common_flags(p_eval, with_np=False)
+    p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_mc_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_scan = subs.add_parser("scan", help="grid of (n, p) cells")
-    _add_common_flags(p_scan, with_np=True)
+    p_scan.add_argument("--n", required=True, help="dimension(s): e.g. 3 or 2..5 or 1,4,9")
+    p_scan.add_argument("--p", required=True, help="exponent(s): comma list of decimals or 'inf'")
+    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_mc_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
     p_verify = subs.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", nargs="?", choices=SUITE_NAMES, help="suite name")
     p_verify.add_argument("--suite", dest="suite_flag", choices=SUITE_NAMES, default=None)
-    _add_common_flags(p_verify, with_np=False)
+    _add_mc_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

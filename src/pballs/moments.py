@@ -96,7 +96,6 @@ _SIGN_EM_REMAINDER = 691.0 / 32760.0
 class Route(enum.Enum):
     GAMMA_CLOSED_FORM = "gamma_closed_form"
     INFINITE_PRODUCT = "infinite_product"
-    MONTE_CARLO = "monte_carlo"
 
 
 class Sign(enum.Enum):
@@ -111,10 +110,10 @@ class MomentResult:
 
     error_estimate is an absolute bound: 0 for the exact closed forms at
     the endpoints, the rounding bound of the gamma closed form elsewhere,
-    value*expm1(log tail bound) for truncated products, one standard error
-    for Monte Carlo.  converged is False when a truncated product's bound
-    missed REL_TOL; the value and bound remain valid.  terms_used counts
-    the factors a truncated product summed explicitly.
+    value*expm1(log tail bound) for truncated products.  converged is
+    False when a truncated product's bound missed REL_TOL; the value and
+    bound remain valid.  terms_used counts the factors a truncated product
+    summed explicitly.
     """
 
     value: float

@@ -4,7 +4,8 @@ Volume follows Dirichlet's formula |B_p^n| = [2*Gamma(1+1/p)]^n / Gamma(1+n/p);
 the coordinate second moment integral over the ball reduces by a beta-integral
 substitution to (2/p) * |B_p^{n-1}| * Gamma(3/p)*Gamma(1+(n-1)/p)/Gamma(1+(n+2)/p).
 Both are evaluated in log space and exponentiated once, with the p = 1 and
-p = inf endpoints hard-coded as exact closed forms.
+p = inf endpoints hard-coded as exact closed forms.  A value beyond the
+float range is inf, as one below it is 0.0.
 """
 
 from __future__ import annotations
@@ -117,6 +118,14 @@ def check_dimension(n) -> int:
     return n
 
 
+def _inf_on_overflow(fn, *args) -> float:
+    """math.exp or math.ldexp, with inf where they raise on overflow (they give 0.0 on underflow)."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def _ln_volume(n: int, p: float) -> float:
     """log |B_p^n| for finite p >= 1 and n >= 0 (n = 0 gives log 1 = 0)."""
     return n * (_LN2 + ln_gamma(1.0 + 1.0 / p)) - ln_gamma(1.0 + n / p)
@@ -131,12 +140,12 @@ def volume(n, p) -> float:
     n = check_dimension(n)
     e = as_exponent(p)
     if math.isinf(e.p):
-        return 2.0**n
+        return _inf_on_overflow(math.ldexp, 1.0, n)
     if e.p == 1.0:
         if n <= _EXACT_FACTORIAL_LIMIT:
             return (2**n) / math.factorial(n)
         return math.exp(n * _LN2 - ln_gamma(n + 1.0))
-    return math.exp(_ln_volume(n, e.p))
+    return _inf_on_overflow(math.exp, _ln_volume(n, e.p))
 
 
 def second_moment_integral(n, p) -> float:
@@ -147,7 +156,7 @@ def second_moment_integral(n, p) -> float:
     n = check_dimension(n)
     e = as_exponent(p)
     if math.isinf(e.p):
-        return (2.0**n) / 3.0
+        return _inf_on_overflow(math.ldexp, 1.0 / 3.0, n)
     if e.p == 1.0:
         if n <= _EXACT_FACTORIAL_LIMIT:
             return (2 ** (n + 1)) / math.factorial(n + 2)
@@ -160,7 +169,7 @@ def second_moment_integral(n, p) -> float:
         + ln_gamma(1.0 + (n - 1) / pp)
         - ln_gamma(1.0 + (n + 2) / pp)
     )
-    return math.exp(ln_phi)
+    return _inf_on_overflow(math.exp, ln_phi)
 
 
 def normalized_second_moment(n, p) -> float:

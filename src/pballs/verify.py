@@ -7,13 +7,14 @@ the tolerances of the identity checks are fixed here; the paper's claims
 agreement) are judged by the shared rules in :mod:`pballs.moments`, on the
 certified bounds the routes report; the CLI uses the same rules.  Suites
 that truncate a series run the driver's one fixed contract (MAX_TERMS,
-REL_TOL in :mod:`pballs.gamma_core`) and take no arguments.
+REL_TOL in :mod:`pballs.gamma_core`) and take no arguments; the Monte Carlo
+suite takes one :class:`~pballs.montecarlo.MCConfig`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -345,7 +346,9 @@ def _mean_pull(values, target: float) -> float:
     return _pull(float(values.mean()) - target, float(values.std(ddof=1)) / math.sqrt(len(values)))
 
 
-def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list[Check]:
+def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
+    """The Monte Carlo checks at config.samples per cell; the i-th cell runs on
+    seed config.seed + i (estimators) or config.seed * 1000 + i (sampler)."""
     checks = []
 
     ok = True
@@ -353,7 +356,7 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
     idx = 0
     for n in range(1, 6):
         for p in MC_P_GRID:
-            est = estimate_f(n, p, MCConfig(samples, seed + idx, streams))
+            est = estimate_f(n, p, replace(config, seed=config.seed + idx))
             idx += 1
             target = f_gamma(n, p).value
             ok &= mc_agrees(est, target)
@@ -361,7 +364,7 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
     checks.append(_check(
         "mc-estimate", ok,
         f"estimate_f vs closed form on n=1..5 x p={{1,1.4,2,3,inf}} "
-        f"({samples} pairs), worst |pull| {worst_pull:.2f} (limit {MC_STD_ERRORS:g})",
+        f"({config.samples} pairs), worst |pull| {worst_pull:.2f} (limit {MC_STD_ERRORS:g})",
     ))
 
     membership_ok = True
@@ -371,10 +374,10 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
     for n in MC_MOMENT_N_GRID:
         for p in MC_MOMENT_P_GRID:
             e = as_exponent(p)
-            rng_seed = seed * 1000 + idx
+            rng_seed = config.seed * 1000 + idx
             idx += 1
             rng = _stream_rng(rng_seed, (0,))
-            x = sample_ball(n, e, rng, size=samples)
+            x = sample_ball(n, e, rng, size=config.samples)
             if math.isinf(e.p):
                 norms = np.abs(x).max(axis=1)
             else:
@@ -382,7 +385,7 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
             max_norm = max(max_norm, float(norms.max()))
             membership_ok &= float(norms.max()) <= 1.0
 
-            if samples < 2:
+            if config.samples < 2:
                 continue  # a standard error needs two samples
             sq = x[:, 0] * x[:, 0]
             moment_pulls.append(_mean_pull(sq, normalized_second_moment(n, e)))
@@ -409,9 +412,9 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
 
     ok = True
     for n, p in ((2, 1.5), (3, 3.0)):
-        direct = estimate_f(n, p, MCConfig(samples, seed + idx, streams))
+        direct = estimate_f(n, p, replace(config, seed=config.seed + idx))
         idx += 1
-        factored = estimate_f_factored(n, p, MCConfig(samples, seed + idx, streams))
+        factored = estimate_f_factored(n, p, replace(config, seed=config.seed + idx))
         idx += 1
         gap = abs(direct.mean - factored.mean)
         ok &= gap <= 3.0 * math.hypot(direct.std_error, factored.std_error)
@@ -426,26 +429,27 @@ def suite_mc(samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list
 # --------------------------------------------------------------------------
 # dispatch
 
-# name -> suite, in the order 'all' runs them; each entry takes
-# (samples, seed, streams) and passes on what its suite uses.  The suites
-# are looked up by their module-global names at call time, so that a
-# rebound name (a tracing wrapper, say) is the one that runs.
+# name -> suite, in the order 'all' runs them; each entry takes the
+# MCConfig and passes it on if its suite samples.  The suites are looked up
+# by their module-global names at call time, so that a rebound name (a
+# tracing wrapper, say) is the one that runs.
 _SUITES = {
-    "routes": lambda *mc: suite_routes(),
-    "endpoints": lambda *mc: suite_endpoints(),
-    "monotonicity": lambda *mc: suite_monotonicity(),
-    "ineq3": lambda *mc: suite_ineq3(),
-    "remark-limit": lambda *mc: suite_remark_limit(),
-    "corollaries": lambda *mc: suite_corollaries(),
-    "mc": lambda *mc: suite_mc(*mc),
+    "routes": lambda mc: suite_routes(),
+    "endpoints": lambda mc: suite_endpoints(),
+    "monotonicity": lambda mc: suite_monotonicity(),
+    "ineq3": lambda mc: suite_ineq3(),
+    "remark-limit": lambda mc: suite_remark_limit(),
+    "corollaries": lambda mc: suite_corollaries(),
+    "mc": lambda mc: suite_mc(mc),
 }
 
 SUITE_NAMES = (*_SUITES, "all")
 
 
-def run_suite(name: str, samples: int = 1_000_000, seed: int = 42, streams: int = 8) -> list[Check]:
-    """Run one named suite (or 'all', every suite in order) and return its checks."""
+def run_suite(name: str, mc: MCConfig = MCConfig()) -> list[Check]:
+    """Run one named suite (or 'all', every suite in order) and return its
+    checks; only the 'mc' suite reads mc."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     names = _SUITES if name == "all" else (name,)
-    return [check for suite in names for check in _SUITES[suite](samples, seed, streams)]
+    return [check for suite in names for check in _SUITES[suite](mc)]

@@ -9,6 +9,7 @@ runs at its full sample count with a fixed seed.
 
 import pytest
 
+from pballs.montecarlo import MCConfig
 from pballs.verify import (
     suite_corollaries,
     suite_endpoints,
@@ -56,7 +57,7 @@ def remark():
 
 @pytest.fixture(scope="module")
 def mc():
-    return _by_name(suite_mc(samples=1_000_000, seed=42, streams=8))
+    return _by_name(suite_mc(MCConfig(samples=1_000_000, seed=42, streams=8)))
 
 
 def _assert_criterion(number, title, checks):

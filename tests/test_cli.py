@@ -185,6 +185,19 @@ class TestVerify:
         assert "FAIL mc-exchangeability" in out
         assert "OVERALL: FAIL" in out
 
+    def test_format_is_a_usage_error(self, capsys):
+        # verify prints PASS/FAIL text only; it has no --format to ignore
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "remark-limit", "--format", "json"])
+        assert excinfo.value.code == 2
+
+    def test_streams_not_dividing_samples_is_a_usage_error(self, capsys):
+        # the MC settings are validated whole, also for a suite that does not sample
+        code, out, err = run_cli(capsys, "verify", "endpoints", "--streams", "3")
+        assert code == 2
+        assert out == ""
+        assert "must be divisible by streams" in err
+
     @pytest.mark.parametrize("flag", ["--max-terms=20000", "--rel-tol=1e-6"])
     def test_truncation_flags_are_usage_errors(self, capsys, flag):
         # the driver's limits are fixed constants, not options

@@ -327,12 +327,13 @@ class TestMcAgrees:
 
 class TestRunSuite:
     def test_all_runs_every_suite_once_in_order(self):
+        from pballs.montecarlo import MCConfig
         from pballs.verify import SUITE_NAMES, run_suite
 
-        args = dict(samples=400, seed=5, streams=2)
-        expected = [c for name in SUITE_NAMES[:-1] for c in run_suite(name, **args)]
+        mc = MCConfig(samples=400, seed=5, streams=2)
+        expected = [c for name in SUITE_NAMES[:-1] for c in run_suite(name, mc)]
         assert SUITE_NAMES[-1] == "all"
-        assert run_suite("all", **args) == expected
+        assert run_suite("all", mc) == expected
 
 
 class TestBoundComparator:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pballs import montecarlo
 from pballs.moments import f_endpoint, f_gamma
 from pballs.montecarlo import (
     MCConfig,
@@ -131,3 +132,21 @@ class TestEstimateFFactored:
 
     def test_deterministic(self):
         assert estimate_f_factored(2, 2.0, SMALL) == estimate_f_factored(2, 2.0, SMALL)
+
+
+class TestChunking:
+    def test_a_chunk_holds_at_most_the_element_cap(self, monkeypatch):
+        # rows per chunk shrink as n grows, so memory is bounded at any n
+        sizes = []
+        real = montecarlo.sample_ball
+
+        def recording(n, p, rng, size=None):
+            sizes.append(size)
+            return real(n, p, rng, size=size)
+
+        monkeypatch.setattr(montecarlo, "sample_ball", recording)
+        n = 10**5
+        est = estimate_f(n, 2.5, MCConfig(40, 0, 1))
+        assert est.samples == 40
+        assert sum(sizes) == 2 * 40  # x and y for every pair
+        assert all(size * n <= montecarlo._CHUNK_ELEMENTS for size in sizes)

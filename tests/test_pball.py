@@ -108,6 +108,13 @@ class TestVolume:
         assert volume(100, 2.0) == pytest.approx(math.pi**50 / math.gamma(51.0), rel=1e-11)
         assert volume(10**6, 2.0) == 0.0  # true value is below the float range
 
+    @pytest.mark.parametrize("n,p", [(1024, math.inf), (2000, 1e6), (10**6, math.inf)])
+    def test_large_dimension_overflow_is_inf(self, n, p):
+        # true values above the float range read inf, as those below read 0.0
+        assert volume(n, p) == math.inf
+        expected = 2**1024 / 3 if n == 1024 else math.inf  # 2^1024/3 still fits
+        assert second_moment_integral(n, p) == expected
+
 
 class TestSecondMoment:
     def test_cube_value(self):
