@@ -181,11 +181,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite_flag or args.suite
-    if suite is None:
-        print("verify: missing suite name", file=sys.stderr)
-        return 2
-    checks = run_suite(suite, _mc_from_args(args) or MCConfig(seed=args.seed, streams=args.streams))
+    checks = run_suite(args.suite, _mc_from_args(args) or MCConfig(seed=args.seed, streams=args.streams))
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     ok = all(c.passed for c in checks)
@@ -221,8 +217,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_verify = subs.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", nargs="?", choices=SUITE_NAMES, help="suite name")
-    p_verify.add_argument("--suite", dest="suite_flag", choices=SUITE_NAMES, default=None)
+    p_verify.add_argument("suite", choices=SUITE_NAMES, help="suite name")
     _add_mc_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -12,7 +12,8 @@ uniforms on [-1, 1].  Streams are counter-based (Philox keyed by
 deterministic for a given (seed, streams) no matter how work is scheduled.
 Each stream draws its rows in chunks of max(1, _CHUNK_ELEMENTS // n) rows,
 at most _CHUNK_ELEMENTS coordinates per sample_ball call, which bounds
-memory at any n; the cap is part of the draw order.
+memory at any n and sample count; the cap is part of the draw order.  The
+estimators and the sampler checks of verify all draw through this reducer.
 """
 
 from __future__ import annotations
@@ -86,31 +87,37 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None):
     return x[0] if size is None else x
 
 
-def _stream_mean(n: int, config: MCConfig, key: tuple, draw, statistic) -> MCEstimate:
-    """Mean and standard error of statistic(draw(rng, rows)) over substreams keyed (*key, i).
+def _stream_means(n: int, config: MCConfig, key: tuple, draw, statistics) -> tuple[MCEstimate, ...]:
+    """Mean and standard error of each statistic over substreams keyed (*key, i).
 
-    Each substream draws its share in chunks of at most _CHUNK_ELEMENTS // n
-    rows; the chunk sums are added in stream and chunk order.  A chunk's
-    points stay referenced until the next chunk's are drawn: freed at the
-    end of each chunk, the heap is returned to the OS and faulted back in
-    by the next, which took 2.5 times the page faults.  Draws call
-    sample_ball by its module-global name, so a rebound name (a tracing
-    wrapper, say) is the one that runs.
+    statistics(draw(rng, rows)) returns a tuple of 1-D arrays, one value per
+    row each; one MCEstimate is returned per entry.  Each substream draws
+    its share in chunks of at most _CHUNK_ELEMENTS // n rows; the chunk sums
+    are added in stream and chunk order.  A chunk's points stay referenced
+    until the next chunk's are drawn: freed at the end of each chunk, the
+    heap is returned to the OS and faulted back in by the next, which took
+    2.5 times the page faults.  Draws call sample_ball by its module-global
+    name, so a rebound name (a tracing wrapper, say) is the one that runs.
     """
     per_stream = config.samples // config.streams
     rows = max(1, _CHUNK_ELEMENTS // n)
-    total = total_sq = 0.0
+    sums: list[list[float]] = []
     for stream in range(config.streams):
         rng = _stream_rng(config.seed, (*key, stream))
         for done in range(0, per_stream, rows):
             points = draw(rng, min(rows, per_stream - done))
-            v = statistic(points)
-            total += float(v.sum())
-            total_sq += float((v * v).sum())
+            values = statistics(points)
+            sums = sums or [[0.0, 0.0] for _ in values]
+            for pair, v in zip(sums, values):
+                pair[0] += float(v.sum())
+                pair[1] += float((v * v).sum())
     count = config.samples
-    mean = total / count
-    var = max(total_sq - count * mean * mean, 0.0) / (count - 1) if count > 1 else 0.0
-    return MCEstimate(mean, math.sqrt(var / count), count)
+    out = []
+    for total, total_sq in sums:
+        mean = total / count
+        var = max(total_sq - count * mean * mean, 0.0) / (count - 1) if count > 1 else 0.0
+        out.append(MCEstimate(mean, math.sqrt(var / count), count))
+    return tuple(out)
 
 
 def estimate_f(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
@@ -122,11 +129,11 @@ def estimate_f(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
     n = check_dimension(n)
     e = as_exponent(p)
     eq = e.conjugate()
-    return _stream_mean(
+    return _stream_means(
         n, config, (),
         lambda rng, rows: (sample_ball(n, e, rng, size=rows), sample_ball(n, eq, rng, size=rows)),
-        lambda xy: np.einsum("ij,ij->i", *xy) ** 2,
-    )
+        lambda xy: (np.einsum("ij,ij->i", *xy) ** 2,),
+    )[0]
 
 
 def estimate_f_factored(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
@@ -141,9 +148,9 @@ def estimate_f_factored(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
     e = as_exponent(p)
 
     def x1_sq_mean(side: int, e) -> MCEstimate:
-        return _stream_mean(
-            n, config, (side,), lambda rng, rows: sample_ball(n, e, rng, size=rows), lambda x: x[:, 0] ** 2
-        )
+        return _stream_means(
+            n, config, (side,), lambda rng, rows: sample_ball(n, e, rng, size=rows), lambda x: (x[:, 0] ** 2,)
+        )[0]
 
     a = x1_sq_mean(0, e)
     b = x1_sq_mean(1, e.conjugate())

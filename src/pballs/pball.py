@@ -34,7 +34,8 @@ _LN2 = math.log(2.0)
 _SNAP_WIDTH = 1e-12
 
 # Largest n for which the exact integer-ratio endpoint formulas are used;
-# beyond it the log-space route is cheaper and the results underflow anyway.
+# beyond it p = 1 takes the general log-space route, whose results
+# underflow to 0.0 there anyway.
 _EXACT_FACTORIAL_LIMIT = 300
 
 
@@ -135,16 +136,14 @@ def volume(n, p) -> float:
     """Volume of the unit p-ball in R^n.
 
     Exact endpoint values: 2^n at p = inf and 2^n/n! at p = 1 (correctly
-    rounded integer ratio up to n = 300, log-space beyond).
+    rounded integer ratio up to n = 300, the general log-space route beyond).
     """
     n = check_dimension(n)
     e = as_exponent(p)
     if math.isinf(e.p):
         return _inf_on_overflow(math.ldexp, 1.0, n)
-    if e.p == 1.0:
-        if n <= _EXACT_FACTORIAL_LIMIT:
-            return (2**n) / math.factorial(n)
-        return math.exp(n * _LN2 - ln_gamma(n + 1.0))
+    if e.p == 1.0 and n <= _EXACT_FACTORIAL_LIMIT:
+        return (2**n) / math.factorial(n)
     return _inf_on_overflow(math.exp, _ln_volume(n, e.p))
 
 
@@ -157,10 +156,8 @@ def second_moment_integral(n, p) -> float:
     e = as_exponent(p)
     if math.isinf(e.p):
         return _inf_on_overflow(math.ldexp, 1.0 / 3.0, n)
-    if e.p == 1.0:
-        if n <= _EXACT_FACTORIAL_LIMIT:
-            return (2 ** (n + 1)) / math.factorial(n + 2)
-        return math.exp((n + 1) * _LN2 - ln_gamma(n + 3.0))
+    if e.p == 1.0 and n <= _EXACT_FACTORIAL_LIMIT:
+        return (2 ** (n + 1)) / math.factorial(n + 2)
     pp = e.p
     ln_phi = (
         math.log(2.0 / pp)

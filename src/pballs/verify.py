@@ -8,7 +8,8 @@ agreement) are judged by the shared rules in :mod:`pballs.moments`, on the
 certified bounds the routes report; the CLI uses the same rules.  Suites
 that truncate a series run the driver's one fixed contract (MAX_TERMS,
 REL_TOL in :mod:`pballs.gamma_core`) and take no arguments; the Monte Carlo
-suite takes one :class:`~pballs.montecarlo.MCConfig`.
+suite takes one :class:`~pballs.montecarlo.MCConfig` and draws every point
+through the chunked reducer of :mod:`pballs.montecarlo`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gamma_core import gamma_ratio_product, signed_ln_gamma
+from .gamma_core import EPS, gamma_ratio_product, signed_ln_gamma
 from .moments import (
+    GAMMA_ROUNDING_ULPS,
     MC_STD_ERRORS,
     Sign,
     bound_comparator,
@@ -34,8 +36,8 @@ from .moments import (
     remark_limit_check,
     routes_agree,
 )
-from .montecarlo import MCConfig, _stream_rng, estimate_f, estimate_f_factored, sample_ball
-from .pball import as_exponent, normalized_second_moment
+from .montecarlo import MCConfig, _stream_means, estimate_f, estimate_f_factored, sample_ball
+from .pball import as_exponent, normalized_second_moment, second_moment_integral, volume
 
 __all__ = ["Check", "SUITE_NAMES", "run_suite"]
 
@@ -69,6 +71,7 @@ GAMMA_RATIO_X_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 GAMMA_RATIO_A_GRID = (-0.9, -0.5, 0.0, 0.25, 0.5, 0.9)
 
 SIGN_T_GRID = (0.01, 0.05, 0.1, 0.2, 0.25)
+FD_STEP = 1e-5  # half-width of the closed-form difference the derivative signs are held to
 
 INEQ3_T_GRID = (0.01, 0.25, 1.0, 10.0)
 INEQ3_K_MAX = 10_000
@@ -85,6 +88,7 @@ COMPARATOR_PAIRS_HIGH = (
 MC_P_GRID = (1.0, 1.4, 2.0, 3.0, math.inf)
 MC_MOMENT_P_GRID = (1.0, 1.5, 2.0, 3.0, math.inf)
 MC_MOMENT_N_GRID = (1, 2, 3, 5)
+SAMPLER_STD_ERRORS = 4.0  # the sampler checks' band, in standard errors of a coordinate mean
 
 
 def _geomspace(lo: float, hi: float, count: int) -> list[float]:
@@ -112,13 +116,15 @@ def suite_endpoints() -> list[Check]:
 
     worst = 0.0
     for n in range(1, 101):
-        target = f_endpoint(n)
+        # n * E[x1^2] on B_1^n * E[y1^2] on B_inf^n, from the balls' Dirichlet formulas
+        target = n * math.prod(second_moment_integral(n, p) / volume(n, p) for p in (1.0, math.inf))
         for p in (1.0, math.inf):
-            got = f_gamma(n, p).value
-            worst = max(worst, abs(got - target) / target)
+            for route in (f_gamma, f_product):
+                worst = max(worst, abs(route(n, p).value - target) / target)
     checks.append(_check(
         "endpoint-value", worst <= 1e-12,
-        f"f(n,1)=f(n,inf)=2n/(3(n+1)(n+2)) for n=1..100, worst rel dev {worst:.3g}",
+        "f(n,1), f(n,inf) by both routes vs n*m(n,1)*m(n,inf), m the ball's mean x1^2, "
+        f"for n=1..100, worst rel dev {worst:.3g}",
     ))
 
     worst = 0.0
@@ -169,7 +175,7 @@ def suite_routes() -> list[Check]:
         f"f(n,p) vs f(n,q) on 20 pairs with p in (1,2), worst rel dev {worst:.3g}",
     ))
 
-    worst_excess = -math.inf
+    worst_share = 0.0
     cells = 0
     for x in GAMMA_RATIO_X_GRID:
         for a in GAMMA_RATIO_A_GRID:
@@ -178,23 +184,22 @@ def suite_routes() -> list[Check]:
                 continue  # gamma pole, excluded by the operation's domain
             cells += 1
             if a == 0.0:
-                ref_sign, ref_log = 1.0, 0.0
+                ref_sign, ref_log, ref_size = 1.0, 0.0, 0.0
             else:
                 s1, l1 = signed_ln_gamma(1.0 - a)
                 s2, l2 = signed_ln_gamma(x + a)
                 s3, l3 = signed_ln_gamma(x)
-                ref_sign, ref_log = s1 * s2 * s3, l1 + l2 - l3
+                ref_sign, ref_log, ref_size = s1 * s2 * s3, l1 + l2 - l3, abs(l1) + abs(l2) + abs(l3)
             got = gamma_ratio_product(x, a)
             sign_ok = math.copysign(1.0, got.value) == ref_sign
             dev = abs(math.log(abs(got.value)) - ref_log) if got.value != 0.0 else math.inf
-            allowed = got.tail_bound + 1e-10
-            if not sign_ok:
-                worst_excess = math.inf
-            worst_excess = max(worst_excess, dev - allowed)
+            # the product's bound plus the log-gamma reference's own rounding
+            allowed = got.tail_bound + GAMMA_ROUNDING_ULPS * EPS * (1.0 + ref_size)
+            worst_share = max(worst_share, dev / allowed if sign_ok else math.inf)
     checks.append(_check(
-        "gamma-ratio-product", worst_excess <= 0.0,
+        "gamma-ratio-product", worst_share <= 1.0,
         f"product vs log-gamma route on {cells} (x,a) cells, "
-        f"worst log-dev-minus-bound {worst_excess:.3g}",
+        f"worst log-dev/allowance {worst_share:.3g}",
     ))
 
     return checks
@@ -208,14 +213,14 @@ def _p_of_t(t: float) -> float:
     return 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * t))
 
 
-def _fd_derivative_sign(n: int, t: float, step: float = 1e-5) -> float:
-    """Difference of the closed form f across t: central over [t - step,
-    t + step], or backward over [t - 2*step, t] where t + step would pass
-    t = 1/4, beyond which no real exponent exists."""
-    if t + step <= 0.25:
-        lo, hi = t - step, t + step
+def _fd_derivative_sign(n: int, t: float) -> float:
+    """Difference of the closed form f across t: central over [t - FD_STEP,
+    t + FD_STEP], or backward over [t - 2*FD_STEP, t] where t + FD_STEP would
+    pass t = 1/4, beyond which no real exponent exists."""
+    if t + FD_STEP <= 0.25:
+        lo, hi = t - FD_STEP, t + FD_STEP
     else:
-        lo, hi = t - 2.0 * step, t
+        lo, hi = t - 2.0 * FD_STEP, t
     return f_gamma(n, _p_of_t(hi)).value - f_gamma(n, _p_of_t(lo)).value
 
 
@@ -341,14 +346,10 @@ def _pull(gap: float, std_error: float) -> float:
     return math.inf if gap else 0.0
 
 
-def _mean_pull(values, target: float) -> float:
-    """|mean - target| of at least two samples, in standard errors of their mean."""
-    return _pull(float(values.mean()) - target, float(values.std(ddof=1)) / math.sqrt(len(values)))
-
-
 def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
-    """The Monte Carlo checks at config.samples per cell; the i-th cell runs on
-    seed config.seed + i (estimators) or config.seed * 1000 + i (sampler)."""
+    """The Monte Carlo checks at config.samples per cell, each drawn through the
+    chunked reducer; the i-th cell runs on seed config.seed + i over config.streams
+    substreams (estimators) or config.seed * 1000 + i over one (sampler)."""
     checks = []
 
     ok = True
@@ -367,47 +368,47 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
         f"({config.samples} pairs), worst |pull| {worst_pull:.2f} (limit {MC_STD_ERRORS:g})",
     ))
 
-    membership_ok = True
     moment_pulls = []
     exchange_pulls = []
     max_norm = 0.0
     for n in MC_MOMENT_N_GRID:
         for p in MC_MOMENT_P_GRID:
             e = as_exponent(p)
-            rng_seed = config.seed * 1000 + idx
-            idx += 1
-            rng = _stream_rng(rng_seed, (0,))
-            x = sample_ball(n, e, rng, size=config.samples)
-            if math.isinf(e.p):
-                norms = np.abs(x).max(axis=1)
-            else:
-                norms = (np.abs(x) ** e.p).sum(axis=1)
-            max_norm = max(max_norm, float(norms.max()))
-            membership_ok &= float(norms.max()) <= 1.0
 
-            if config.samples < 2:
-                continue  # a standard error needs two samples
-            sq = x[:, 0] * x[:, 0]
-            moment_pulls.append(_mean_pull(sq, normalized_second_moment(n, e)))
-            moment_pulls.append(_mean_pull(x[:, 0], 0.0))
-            if n >= 2:
+            def statistics(x):
+                nonlocal max_norm
+                norms = np.abs(x).max(axis=1) if math.isinf(e.p) else (np.abs(x) ** e.p).sum(axis=1)
+                max_norm = float(np.maximum(max_norm, norms.max()))  # a NaN norm stays and fails
+                sq = x[:, 0] * x[:, 0]
                 # club the two coordinates into one per-sample difference so
                 # their (negative) correlation is priced into the band
-                exchange_pulls.append(_mean_pull(sq - x[:, 1] * x[:, 1], 0.0))
+                return (sq, x[:, 0]) + ((sq - x[:, 1] * x[:, 1],) if n >= 2 else ())
+
+            estimates = _stream_means(
+                n, replace(config, seed=config.seed * 1000 + idx, streams=1), (),
+                lambda rng, rows: sample_ball(n, e, rng, size=rows), statistics,
+            )
+            idx += 1
+            if config.samples < 2:
+                continue  # a standard error needs two samples
+            sq, x1, *differences = estimates
+            target = normalized_second_moment(n, e)
+            moment_pulls += [_pull(sq.mean - target, sq.std_error), _pull(x1.mean, x1.std_error)]
+            exchange_pulls += [_pull(d.mean, d.std_error) for d in differences]
     # with no pull computed both checks fail: nan compares false
     worst_pull = max(moment_pulls, default=math.nan)
     checks.append(_check(
-        "mc-sampler-moments", worst_pull <= 4.0,
-        "E[x1^2] vs closed form and E[x1] vs 0 at 4 s.e., "
+        "mc-sampler-moments", worst_pull <= SAMPLER_STD_ERRORS,
+        f"E[x1^2] vs closed form and E[x1] vs 0 at {SAMPLER_STD_ERRORS:g} s.e., "
         + (f"worst |pull| {worst_pull:.2f}" if moment_pulls else "no pull computed from fewer than 2 samples"),
     ))
     checks.append(_check(
-        "mc-membership", membership_ok,
+        "mc-membership", max_norm <= 1.0,
         f"all sampled points inside the closed ball, max norm {max_norm:.17g}",
     ))
     checks.append(_check(
-        "mc-exchangeability", max(exchange_pulls, default=math.nan) <= 4.0,
-        "E[x1^2] vs E[x2^2] within combined 4 s.e. bands",
+        "mc-exchangeability", max(exchange_pulls, default=math.nan) <= SAMPLER_STD_ERRORS,
+        f"E[x1^2] vs E[x2^2] within combined {SAMPLER_STD_ERRORS:g} s.e. bands",
     ))
 
     ok = True
@@ -417,10 +418,10 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
         factored = estimate_f_factored(n, p, replace(config, seed=config.seed + idx))
         idx += 1
         gap = abs(direct.mean - factored.mean)
-        ok &= gap <= 3.0 * math.hypot(direct.std_error, factored.std_error)
+        ok &= gap <= MC_STD_ERRORS * math.hypot(direct.std_error, factored.std_error)
     checks.append(_check(
         "mc-estimator-consistency", ok,
-        "estimate_f vs estimate_f_factored within combined 3 s.e. bands",
+        f"estimate_f vs estimate_f_factored within combined {MC_STD_ERRORS:g} s.e. bands",
     ))
 
     return checks

@@ -335,6 +335,17 @@ class TestRunSuite:
         assert SUITE_NAMES[-1] == "all"
         assert run_suite("all", mc) == expected
 
+    def test_endpoint_value_catches_a_wrong_endpoint_formula(self, monkeypatch):
+        # both routes return f_endpoint at p in {1, inf}; the check's target
+        # comes from the balls' moments, so a wrong formula must FAIL it
+        from pballs import moments, verify
+
+        wrong = lambda n: 2 * n / (3 * (n + 1) * (n + 3))  # noqa: E731
+        monkeypatch.setattr(moments, "f_endpoint", wrong)
+        monkeypatch.setattr(verify, "f_endpoint", wrong)
+        (check,) = [c for c in verify.suite_endpoints() if c.name == "endpoint-value"]
+        assert not check.passed
+
 
 class TestBoundComparator:
     def test_forward_regime_telescoped_endpoints(self):

@@ -150,3 +150,20 @@ class TestChunking:
         assert est.samples == 40
         assert sum(sizes) == 2 * 40  # x and y for every pair
         assert all(size * n <= montecarlo._CHUNK_ELEMENTS for size in sizes)
+
+    def test_every_verify_mc_draw_holds_at_most_the_element_cap(self, monkeypatch):
+        # the sampler checks draw through the same chunked reducer
+        from pballs import verify
+
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 64)
+        elements = []
+        real = montecarlo.sample_ball
+
+        def recording(n, p, rng, size=None):
+            elements.append(size * n)
+            return real(n, p, rng, size=size)
+
+        monkeypatch.setattr(montecarlo, "sample_ball", recording)
+        monkeypatch.setattr(verify, "sample_ball", recording)
+        verify.suite_mc(MCConfig(400, 0, 2))
+        assert elements and max(elements) <= 64

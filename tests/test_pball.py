@@ -107,6 +107,10 @@ class TestVolume:
     def test_large_dimension_underflow_is_graceful(self):
         assert volume(100, 2.0) == pytest.approx(math.pi**50 / math.gamma(51.0), rel=1e-11)
         assert volume(10**6, 2.0) == 0.0  # true value is below the float range
+        # beyond the exact factorial ratios p = 1 takes the general route
+        for n, p in ((301, 1.0), (10**6, 1.0)):
+            assert volume(n, p) == 0.0
+            assert second_moment_integral(n, p) == 0.0
 
     @pytest.mark.parametrize("n,p", [(1024, math.inf), (2000, 1e6), (10**6, math.inf)])
     def test_large_dimension_overflow_is_inf(self, n, p):

@@ -13,7 +13,7 @@ import importlib
 import io
 import os
 
-from pballs import cli, montecarlo
+from pballs import cli, montecarlo, verify
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -41,3 +41,16 @@ def test_traced_counters_are_nonzero(monkeypatch):
         tracer.uninstall()
     metrics = tracer.metrics(passes=1)
     assert [name for name in COUNTERS if not metrics[name][0] > 0] == []
+
+
+def test_traced_rows_include_the_sampler_checks(monkeypatch):
+    # 25 estimate_f cells draw 2 * 64 rows, 20 sampler cells 64, and the two
+    # consistency pairs 2 * 128 (estimate_f) and 2 * 128 (factored)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.install()
+    try:
+        verify.suite_mc(montecarlo.MCConfig(64, 0, 2))
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics(passes=1)["montecarlo.sample_ball.rows"][0] == 4992
