@@ -7,9 +7,12 @@ independent standard exponential w, and set
     x_i = sign_i * (G_i / (sum_j G_j + w))^{1/p},
 
 which is exactly uniform on the unit p-ball; p = inf reduces to independent
-uniforms on [-1, 1].  Streams are counter-based (Philox keyed by
-(seed, stream index)) and combined in index order, so estimates are
-deterministic for a given (seed, streams) no matter how work is scheduled.
+uniforms on [-1, 1].  At p = 2 the generalized normal is X = Z / sqrt(2)
+with Z standard normal (X^2 = Z^2 / 2 ~ Gamma(1/2)), so that path draws
+normals and then the exponential, with no gamma draws, signs or powers.
+Streams are counter-based (Philox keyed by (seed, stream index)) and
+combined in index order, so estimates are deterministic for a given
+(seed, streams) no matter how work is scheduled.
 Each stream draws its rows in chunks of max(1, _CHUNK_ELEMENTS // n) rows,
 at most _CHUNK_ELEMENTS coordinates per sample_ball call, which bounds
 memory at any n and sample count; the cap is part of the draw order.  The
@@ -68,7 +71,11 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None):
     """Draw uniform points from the unit p-ball in R^n.
 
     Returns shape (n,) for size=None, else (size, n).  Membership
-    sum |x_i|^p <= 1 holds by construction.
+    sum |x_i|^p <= 1 holds by construction.  Each path's generator calls
+    are part of the seeded draw order: p = inf draws (size, n) uniforms;
+    p = 2 draws (size, n) standard normals, then size exponentials; any
+    other p draws Gamma(1/p) magnitudes, then sign integers, then the
+    exponentials.
     """
     n = check_dimension(n)
     e = as_exponent(p)
@@ -77,6 +84,11 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None):
         raise ValueError("size must be >= 1")
     if math.isinf(e.p):
         x = rng.uniform(-1.0, 1.0, size=(m, n))
+    elif e.p == 2.0:
+        x = rng.standard_normal(size=(m, n))
+        x *= math.sqrt(0.5)
+        w = rng.standard_exponential(size=m)
+        x /= np.sqrt(np.einsum("ij,ij->i", x, x) + w)[:, None]
     else:
         inv_p = 1.0 / e.p
         g = rng.standard_gamma(inv_p, size=(m, n))

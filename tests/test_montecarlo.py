@@ -29,7 +29,7 @@ class TestMCConfig:
 
 
 class TestSampleBall:
-    @pytest.mark.parametrize("n,p", [(1, 2.0), (2, 1.0), (3, 1.5), (4, math.inf), (5, 3.0)])
+    @pytest.mark.parametrize("n,p", [(1, 2.0), (2, 1.0), (3, 1.5), (4, math.inf), (5, 3.0), (20, 2.0)])
     def test_membership(self, n, p):
         rng = _stream_rng(3, (0,))
         x = sample_ball(n, p, rng, size=20_000)
@@ -51,6 +51,15 @@ class TestSampleBall:
         sq = x[:, 0] ** 2
         band = 3.0 * float(sq.std(ddof=1)) / math.sqrt(x.shape[0])
         assert abs(float(sq.mean()) - 1.0 / 3.0) <= band
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_p2_squared_norm_mean_is_exact(self, n):
+        # |x|^2 ~ Beta(n/2, 1) on B_2^n, so E|x|^2 = n / (n + 2)
+        rng = _stream_rng(37, (0,))
+        x = sample_ball(n, 2.0, rng, size=200_000)
+        sq = np.einsum("ij,ij->i", x, x)
+        band = 4.0 * float(sq.std(ddof=1)) / math.sqrt(x.shape[0])
+        assert abs(float(sq.mean()) - n / (n + 2)) <= band
 
     @pytest.mark.parametrize("n,p", [(4, 1.5), (2, 1.0), (3, math.inf)])
     def test_second_moment_matches_closed_form(self, n, p):
@@ -81,6 +90,33 @@ class TestSampleBall:
         sq = x[:, 0] ** 2
         band = 3.0 * float(sq.std(ddof=1)) / math.sqrt(x.shape[0])
         assert abs(float(sq.mean()) - normalized_second_moment(5, 1.7)) <= band
+
+
+def _reference_draw(n, p, rng, m):
+    """Each sample_ball path written out from the generator calls it is pinned to."""
+    if math.isinf(p):
+        return rng.uniform(-1.0, 1.0, size=(m, n))
+    if p == 2.0:
+        x = rng.standard_normal(size=(m, n)) * math.sqrt(0.5)
+        w = rng.standard_exponential(size=m)
+        return x / np.sqrt(np.einsum("ij,ij->i", x, x) + w)[:, None]
+    inv_p = 1.0 / p
+    g = rng.standard_gamma(inv_p, size=(m, n))
+    signs = 2.0 * rng.integers(0, 2, size=(m, n)).astype(np.float64) - 1.0
+    w = rng.standard_exponential(size=m)
+    return signs * g**inv_p / ((g.sum(axis=1) + w) ** inv_p)[:, None]
+
+
+class TestDrawOrder:
+    # A change to any path's generator calls re-draws every seeded estimate
+    # on it; these tests make such a change an explicit edit.
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, math.inf])
+    def test_bit_identical_to_the_reference_draws(self, n, p):
+        rng, ref = _stream_rng(31, (2, 1)), _stream_rng(31, (2, 1))
+        for m in (1000, 7):  # two calls: each consumes exactly its own draws
+            assert np.array_equal(sample_ball(n, p, rng, size=m), _reference_draw(n, p, ref, m))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
 class TestEstimateF:
