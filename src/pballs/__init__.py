@@ -9,7 +9,6 @@ claims, and the conjectured ceiling n/(n+2)^2 relating them.
 from .gamma_core import (
     ProductResult,
     gamma_ratio_product,
-    ln_beta,
     ln_gamma,
     signed_ln_gamma,
 )
@@ -17,7 +16,6 @@ from .moments import (
     ComparatorResult,
     MomentResult,
     MonotonicityScan,
-    Route,
     Sign,
     SignReport,
     bound_comparator,
@@ -25,13 +23,10 @@ from .moments import (
     f_endpoint,
     f_gamma,
     f_product,
-    g_term,
     gk_ratio_product,
     kuperberg_bound,
-    kuperberg_check,
     monotonicity_scan,
     per_term_minimum,
-    per_term_positivity,
     remark_limit_check,
 )
 from .montecarlo import MCConfig, MCEstimate, estimate_f, estimate_f_factored, sample_ball
@@ -40,7 +35,6 @@ from .pball import (
     Exponent,
     as_exponent,
     check_dimension,
-    conjugate,
     normalized_second_moment,
     second_moment_integral,
     volume,
@@ -59,31 +53,25 @@ __all__ = [
     "MomentResult",
     "MonotonicityScan",
     "ProductResult",
-    "Route",
     "SUITE_NAMES",
     "Sign",
     "SignReport",
     "as_exponent",
     "bound_comparator",
     "check_dimension",
-    "conjugate",
     "derivative_sign_series",
     "estimate_f",
     "estimate_f_factored",
     "f_endpoint",
     "f_gamma",
     "f_product",
-    "g_term",
     "gamma_ratio_product",
     "gk_ratio_product",
     "kuperberg_bound",
-    "kuperberg_check",
-    "ln_beta",
     "ln_gamma",
     "monotonicity_scan",
     "normalized_second_moment",
     "per_term_minimum",
-    "per_term_positivity",
     "remark_limit_check",
     "run_suite",
     "sample_ball",

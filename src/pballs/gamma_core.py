@@ -1,4 +1,4 @@
-"""Log-gamma/log-beta and a truncated gamma-ratio product.
+"""Log-gamma and a truncated gamma-ratio product.
 
 The gamma ratio Gamma(1-a)*Gamma(x+a)/Gamma(x) admits the product
 representation
@@ -28,7 +28,6 @@ from ._kernels import gamma_ratio_log
 __all__ = [
     "ProductResult",
     "ln_gamma",
-    "ln_beta",
     "signed_ln_gamma",
     "gamma_ratio_product",
 ]
@@ -44,13 +43,6 @@ def ln_gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def ln_beta(a: float, b: float) -> float:
-    """log B(a, b) = ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b), for a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"ln_beta requires positive arguments, got ({a}, {b})")
-    return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 
 
 def signed_ln_gamma(x: float) -> tuple[float, float]:

@@ -19,7 +19,7 @@ and y in B_q^n (q the Hoelder conjugate).  Routes implemented here:
 
 The sign of df/dt is decided by the series of per-factor log derivatives
 (``derivative_sign_series``), and the per-term polynomial inequality that
-the termwise argument rests on is checked verbatim (``per_term_positivity``).
+the termwise argument rests on is checked verbatim (``per_term_minimum``).
 The paper's claims are judged here and only here, each on the certified
 bounds the routes report rather than on a fixed tolerance:
 ``kuperberg_verdict`` holds f to the conjectured ceiling n/(n+2)^2,
@@ -51,29 +51,25 @@ from .gamma_core import (
     rounding_allowance,
     run_truncated_log_sum,
 )
-from .pball import Exponent, as_exponent, check_dimension
+from .pball import Exponent, _whole, as_exponent, check_dimension
 
 __all__ = [
-    "Route",
     "Sign",
     "MomentResult",
     "SignReport",
     "ComparatorResult",
     "MonotonicityScan",
-    "g_term",
     "f_endpoint",
     "f_gamma",
     "f_product",
     "routes_agree",
     "gk_ratio_product",
     "derivative_sign_series",
-    "per_term_positivity",
     "per_term_minimum",
     "monotone_verdict",
     "monotonicity_scan",
     "kuperberg_bound",
     "kuperberg_verdict",
-    "kuperberg_check",
     "mc_agrees",
     "bound_comparator",
     "remark_limit_check",
@@ -93,11 +89,6 @@ _SIGN_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 1
 _SIGN_EM_REMAINDER = 691.0 / 32760.0
 
 
-class Route(enum.Enum):
-    GAMMA_CLOSED_FORM = "gamma_closed_form"
-    INFINITE_PRODUCT = "infinite_product"
-
-
 class Sign(enum.Enum):
     NEGATIVE = -1
     ZERO = 0
@@ -106,7 +97,7 @@ class Sign(enum.Enum):
 
 @dataclass(frozen=True)
 class MomentResult:
-    """A value of f(n, p) tagged with how it was computed.
+    """A value of f(n, p).
 
     error_estimate is an absolute bound: 0 for the exact closed forms at
     the endpoints, the rounding bound of the gamma closed form elsewhere,
@@ -117,7 +108,6 @@ class MomentResult:
     """
 
     value: float
-    route: Route
     error_estimate: float
     n: int
     exponent: Exponent
@@ -142,7 +132,7 @@ class SignReport:
 
 @dataclass(frozen=True)
 class ComparatorResult:
-    """P(tau_r) vs P(tau_s) for the two-parameter product comparator.
+    """P(R) vs P(S) for the two-parameter product comparator.
 
     verdict: the products are ordered as expected and further apart than
     their tail bounds allow either to be off.
@@ -150,8 +140,6 @@ class ComparatorResult:
 
     product_r: float
     product_s: float
-    tau_r: float
-    tau_s: float
     expected: str  # "less" on [1,2]^2 regimes, "greater" on [2,inf]^2
     verdict: bool
     tail_bound_r: float
@@ -175,18 +163,6 @@ class MonotonicityScan:
     first_violation: tuple | None
 
 
-def g_term(k: int, m: float, t: float) -> float:
-    """The quadratic g_k(m, t) = k^2 + m*k + m^2*t (positive for k >= 1)."""
-    if k != int(k) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if m < 0.0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    k = float(k)
-    return k * k + m * k + m * m * t
-
-
 def kuperberg_bound(n) -> float:
     """The conjectured ceiling n/(n+2)^2 for f(n, .)."""
     n = check_dimension(n)
@@ -204,7 +180,7 @@ def f_gamma(n, p) -> MomentResult:
     n = check_dimension(n)
     e = as_exponent(p)
     if e.is_endpoint:
-        return MomentResult(f_endpoint(n), Route.GAMMA_CLOSED_FORM, 0.0, n, e)
+        return MomentResult(f_endpoint(n), 0.0, n, e)
     pp, qq = e.p, e.q
     ln_n = math.log(n)
     num = (ln_gamma(3.0 / pp), ln_gamma(3.0 / qq), ln_gamma(1.0 + n / pp), ln_gamma(1.0 + n / qq))
@@ -213,7 +189,7 @@ def f_gamma(n, p) -> MomentResult:
     value = math.exp(log_f)
     scale = 2.0 + abs(ln_n) + sum(abs(v) for v in num + den)
     error = GAMMA_ROUNDING_ULPS * EPS * scale * value
-    return MomentResult(value, Route.GAMMA_CLOSED_FORM, error, n, e)
+    return MomentResult(value, error, n, e)
 
 
 def routes_agree(fg: MomentResult, fp: MomentResult) -> bool:
@@ -282,13 +258,13 @@ def f_product(n, p) -> MomentResult:
     n = check_dimension(n)
     e = as_exponent(p)
     if e.t == 0.0:
-        return MomentResult(f_endpoint(n), Route.INFINITE_PRODUCT, 0.0, n, e)
+        return MomentResult(f_endpoint(n), 0.0, n, e)
     if e.t == 0.25:
-        return MomentResult(n / ((n + 2) ** 2), Route.INFINITE_PRODUCT, 0.0, n, e)
+        return MomentResult(n / ((n + 2) ** 2), 0.0, n, e)
     out = gk_ratio_product(n, e.t)
     value = (n / 9.0) * out.value
     error = value * math.expm1(out.tail_bound)
-    return MomentResult(value, Route.INFINITE_PRODUCT, error, n, e, out.converged, out.terms_used)
+    return MomentResult(value, error, n, e, out.converged, out.terms_used)
 
 
 def _sign_tail_piece(m: float, s: float, a: float, b: float, x0: float):
@@ -366,24 +342,6 @@ def derivative_sign_series(n, t: float) -> SignReport:
     return SignReport(out.total, sign, out.terms, min_term > 0.0, out.tail_bound)
 
 
-def per_term_positivity(k: int, n, t: float) -> bool:
-    """Check the printed per-term polynomial inequality at one (k, n, t).
-
-    Evaluates, verbatim,
-        n^2 g_k(3) g_k(n+2) [g_k(n) - g_k(1)]
-          + g_k(n) [(n+2)^2 g_k(1) g_k(3) - 9 g_k(n+2)]  >  0.
-    """
-    n = check_dimension(n)
-    if n < 2:
-        raise ValueError("per-term positivity is stated for n >= 2")
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if k != int(k) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    value, _ = ineq3_min(float(n), float(t), int(k), int(k))
-    return value > 0.0
-
-
 def per_term_minimum(n, t: float, k_max: int):
     """Minimum of the printed per-term polynomial over k = 1..k_max.
 
@@ -395,9 +353,10 @@ def per_term_minimum(n, t: float, k_max: int):
         raise ValueError("per-term positivity is stated for n >= 2")
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
+    k_max = _whole(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return ineq3_min(float(n), float(t), 1, int(k_max))
+    return ineq3_min(float(n), float(t), 1, k_max)
 
 
 def monotone_verdict(n, points) -> MonotonicityScan:
@@ -455,11 +414,6 @@ def kuperberg_verdict(result: MomentResult) -> tuple[bool, float]:
     return result.value - result.error_estimate <= bound, bound - result.value
 
 
-def kuperberg_check(n, p) -> tuple[bool, float]:
-    """kuperberg_verdict on the closed-form f(n, p)."""
-    return kuperberg_verdict(f_gamma(n, p))
-
-
 def mc_agrees(estimate, value: float) -> bool:
     """Whether a Monte Carlo estimate lies within MC_STD_ERRORS standard errors of value."""
     return abs(estimate.mean - value) <= MC_STD_ERRORS * estimate.std_error
@@ -490,15 +444,12 @@ def bound_comparator(n, r, s) -> ComparatorResult:
     else:
         raise ValueError(f"(r, s) = ({r}, {s}) straddles 2; both must lie on one side")
 
-    tau_r, tau_s = as_exponent(r).t, as_exponent(s).t
-    p_r = gk_ratio_product(n, tau_r)
-    p_s = gk_ratio_product(n, tau_s)
+    p_r = gk_ratio_product(n, as_exponent(r).t)
+    p_s = gk_ratio_product(n, as_exponent(s).t)
     gap = p_s.value - p_r.value if expected == "less" else p_r.value - p_s.value
     allowance = p_r.value * math.expm1(p_r.tail_bound) + p_s.value * math.expm1(p_s.tail_bound)
     verdict = gap > allowance
-    return ComparatorResult(
-        p_r.value, p_s.value, tau_r, tau_s, expected, verdict, p_r.tail_bound, p_s.tail_bound
-    )
+    return ComparatorResult(p_r.value, p_s.value, expected, verdict, p_r.tail_bound, p_s.tail_bound)
 
 
 def remark_limit_check(n, q_large: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pball import as_exponent, check_dimension
+from .pball import _whole, as_exponent, check_dimension
 
 __all__ = ["MCConfig", "MCEstimate", "sample_ball", "estimate_f", "estimate_f_factored"]
 
@@ -79,7 +79,7 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None):
     """
     n = check_dimension(n)
     e = as_exponent(p)
-    m = 1 if size is None else int(size)
+    m = 1 if size is None else _whole(size, "size")
     if m < 1:
         raise ValueError("size must be >= 1")
     if math.isinf(e.p):

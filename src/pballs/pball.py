@@ -19,7 +19,6 @@ __all__ = [
     "Exponent",
     "as_exponent",
     "check_dimension",
-    "conjugate",
     "volume",
     "second_moment_integral",
     "normalized_second_moment",
@@ -92,26 +91,23 @@ class Exponent:
 
 
 def as_exponent(p) -> Exponent:
-    """Coerce a float, int, 'inf', or Exponent to an Exponent."""
-    if isinstance(p, Exponent):
-        return p
-    if isinstance(p, str):
-        if p == "inf":
-            return Exponent(math.inf)
-        return Exponent(float(p))
-    return Exponent(p)
+    """Coerce a float, int, numeric string such as 'inf', or Exponent to an Exponent."""
+    return p if isinstance(p, Exponent) else Exponent(p)
 
 
-def conjugate(p) -> Exponent:
-    """Hoelder conjugate: conjugate(1) = inf, conjugate(inf) = 1, conjugate(2) = 2."""
-    return as_exponent(p).conjugate()
+def _whole(x, what: str) -> int:
+    """x as an int; ValueError unless x is a whole number, which inf and nan are not."""
+    try:
+        if x == int(x):
+            return int(x)
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def check_dimension(n) -> int:
     """Validate a dimension: integer with 1 <= n <= MAX_DIMENSION."""
-    if n != int(n):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    n = int(n)
+    n = _whole(n, "dimension")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n > MAX_DIMENSION:

@@ -11,7 +11,6 @@ from pballs.gamma_core import (
     MAX_TERMS,
     REL_TOL,
     gamma_ratio_product,
-    ln_beta,
     ln_gamma,
     run_truncated_log_sum,
     signed_ln_gamma,
@@ -56,21 +55,6 @@ class TestLnGamma:
         hi = ln_gamma(x + 1.0)
         tol = max(1e-12, 24.0 * math.ulp(hi))
         assert abs(hi - ln_gamma(x) - math.log(x)) <= tol
-
-
-class TestLnBeta:
-    def test_known_values(self):
-        assert ln_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-        assert ln_beta(0.5, 0.5) == pytest.approx(math.log(math.pi), rel=1e-14)
-        assert ln_beta(2.0, 3.0) == pytest.approx(math.log(1.0 / 12.0), rel=1e-14)
-
-    def test_symmetry(self):
-        assert ln_beta(2.7, 9.1) == pytest.approx(ln_beta(9.1, 2.7), rel=1e-15)
-
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, -2.0)])
-    def test_domain_error(self, a, b):
-        with pytest.raises(ValueError):
-            ln_beta(a, b)
 
 
 class TestSignedLnGamma:

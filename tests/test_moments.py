@@ -5,40 +5,22 @@ import pytest
 
 from pballs.gamma_core import FIRST_HEAD, REL_TOL, ProductResult
 from pballs.moments import (
-    Route,
     Sign,
     bound_comparator,
     derivative_sign_series,
     f_endpoint,
     f_gamma,
     f_product,
-    g_term,
     gk_ratio_product,
     kuperberg_bound,
-    kuperberg_check,
     kuperberg_verdict,
     mc_agrees,
     monotone_verdict,
     monotonicity_scan,
     per_term_minimum,
-    per_term_positivity,
     remark_limit_check,
 )
 from pballs.pball import Exponent
-
-class TestGTerm:
-    @pytest.mark.parametrize(
-        "k,m,t,expected",
-        [(1, 0.0, 0.25, 1.0), (1, 2.0, 0.25, 4.0), (3, 5.0, 0.1, 26.5)],
-    )
-    def test_values(self, k, m, t, expected):
-        assert g_term(k, m, t) == expected
-
-    @pytest.mark.parametrize("k,m,t", [(0, 1.0, 0.1), (-1, 1.0, 0.1), (1.5, 1.0, 0.1), (1, -1.0, 0.1), (1, 1.0, -0.1)])
-    def test_validation(self, k, m, t):
-        with pytest.raises(ValueError):
-            g_term(k, m, t)
-
 
 class TestFEndpoint:
     def test_values(self):
@@ -62,7 +44,6 @@ class TestFGamma:
 
     def test_metadata(self):
         r = f_gamma(3, 1.5)
-        assert r.route is Route.GAMMA_CLOSED_FORM
         # the closed form's own rounding bound, exact 0 only at the endpoints
         assert 0.0 < r.error_estimate <= 1e-13 * r.value
         assert f_gamma(3, 1.0).error_estimate == 0.0
@@ -87,7 +68,6 @@ class TestFProduct:
         r = f_product(4, 1.0)
         assert r.value == 4.0 / 45.0
         assert r.error_estimate == 0.0
-        assert r.route is Route.INFINITE_PRODUCT
 
     def test_telescoped_self_dual(self):
         r = f_product(4, 2.0)
@@ -181,12 +161,13 @@ class TestDerivativeSignSeries:
 class TestPerTermPositivity:
     @pytest.mark.parametrize("k,n,t", [(1, 2, 0.25), (1, 2, 10.0), (100, 50, 0.01), (10_000, 50, 10.0)])
     def test_holds(self, k, n, t):
-        assert per_term_positivity(k, n, t)
+        mn, _ = per_term_minimum(n, t, k)
+        assert mn > 0.0
 
     @pytest.mark.parametrize("k,n,t", [(0, 2, 0.1), (1, 1, 0.1), (1, 2, 0.0), (1.5, 2, 0.1)])
     def test_validation(self, k, n, t):
         with pytest.raises(ValueError):
-            per_term_positivity(k, n, t)
+            per_term_minimum(n, t, k)
 
     def test_minimum_scan(self):
         mn, arg = per_term_minimum(2, 0.25, 10_000)
@@ -276,17 +257,17 @@ class TestMonotoneVerdict:
 
 class TestKuperbergCheck:
     def test_equality_at_self_dual(self):
-        ok, margin = kuperberg_check(2, 2.0)
+        ok, margin = kuperberg_verdict(f_gamma(2, 2.0))
         assert ok
         assert abs(margin) <= 1e-15
 
     def test_one_dimensional_equality(self):
-        ok, margin = kuperberg_check(1, 7.0)
+        ok, margin = kuperberg_verdict(f_gamma(1, 7.0))
         assert ok
         assert abs(margin) <= 1e-15
 
     def test_strict_interior_margin(self):
-        ok, margin = kuperberg_check(4, 1.3)
+        ok, margin = kuperberg_verdict(f_gamma(4, 1.3))
         assert ok
         assert margin > 1e-4
 
@@ -305,10 +286,6 @@ class TestKuperbergVerdict:
         assert margin < 0.0
         exact = dataclasses.replace(cell, error_estimate=0.0, value=bound + 1e-16)
         assert not kuperberg_verdict(exact)[0]
-
-    def test_check_is_the_verdict_on_the_closed_form(self):
-        for n, p in [(2, 2.0), (7, 1.3), (40, math.inf)]:
-            assert kuperberg_check(n, p) == kuperberg_verdict(f_gamma(n, p))
 
 
 class TestMcAgrees:

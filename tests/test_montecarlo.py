@@ -44,6 +44,11 @@ class TestSampleBall:
         assert sample_ball(3, 2.0, rng).shape == (3,)
         assert sample_ball(3, 2.0, rng, size=5).shape == (5, 3)
 
+    @pytest.mark.parametrize("size", [0, -1, 2.5])
+    def test_rejects_bad_size(self, size):
+        with pytest.raises(ValueError):
+            sample_ball(3, 2.0, _stream_rng(3, (0,)), size=size)
+
     def test_one_dimensional_p2_moment(self):
         # B_2^1 is just [-1, 1], so E[x^2] = 1/3
         rng = _stream_rng(11, (0,))

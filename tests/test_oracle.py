@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from pballs.cli import CSV_HEADER, main
 from pballs.gamma_core import gamma_ratio_product
-from pballs.moments import Sign, derivative_sign_series, f_endpoint, f_gamma, f_product, kuperberg_check, routes_agree
+from pballs.moments import Sign, derivative_sign_series, f_endpoint, f_gamma, f_product, kuperberg_verdict, routes_agree
 from pballs.pball import Exponent
 
 EPS = 2.0**-52
@@ -135,7 +135,7 @@ def test_cli_exit_status_is_the_conjunction_of_its_verdicts(command, ns, ps, wit
 @given(dimensions, exponents)
 @settings(max_examples=300, deadline=None)
 def test_ceiling_holds_within_the_certified_error(n, p):
-    ok, _ = kuperberg_check(n, p)
+    ok, _ = kuperberg_verdict(f_gamma(n, p))
     assert ok
 
 

@@ -10,7 +10,6 @@ from pballs.pball import (
     Exponent,
     as_exponent,
     check_dimension,
-    conjugate,
     normalized_second_moment,
     second_moment_integral,
     volume,
@@ -26,8 +25,8 @@ class TestExponent:
         assert e.t == 0.25
 
     def test_endpoint_pairing(self):
-        assert conjugate(1.0).p == math.inf
-        assert conjugate(math.inf).p == 1.0
+        assert Exponent(1.0).conjugate().p == math.inf
+        assert Exponent(math.inf).conjugate().p == 1.0
         assert Exponent(1.0).t == 0.0
         assert Exponent(math.inf).t == 0.0
 
@@ -74,7 +73,7 @@ class TestExponent:
 
 
 class TestDimension:
-    @pytest.mark.parametrize("n", [0, -1, 2.5, MAX_DIMENSION + 1])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, MAX_DIMENSION + 1, math.inf, -math.inf])
     def test_rejects(self, n):
         with pytest.raises(ValueError):
             check_dimension(n)

@@ -1,0 +1,15 @@
+"""The README's library quick start runs as written.
+
+A name deleted from the package but left in the docs fails here.
+"""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
