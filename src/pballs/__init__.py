@@ -13,12 +13,10 @@ from .gamma_core import (
     signed_ln_gamma,
 )
 from .moments import (
-    ComparatorResult,
     MomentResult,
     MonotonicityScan,
     Sign,
     SignReport,
-    bound_comparator,
     derivative_sign_series,
     f_endpoint,
     f_gamma,
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Check",
-    "ComparatorResult",
     "Exponent",
     "MAX_DIMENSION",
     "MCConfig",
@@ -57,7 +54,6 @@ __all__ = [
     "Sign",
     "SignReport",
     "as_exponent",
-    "bound_comparator",
     "check_dimension",
     "derivative_sign_series",
     "estimate_f",

@@ -25,7 +25,7 @@ from .moments import (
     routes_agree,
 )
 from .montecarlo import MCConfig, estimate_f
-from .pball import as_exponent
+from .pball import as_exponent, check_dimension
 from .verify import SUITE_NAMES, run_suite
 
 
@@ -101,8 +101,8 @@ def _parse_n_list(text: str) -> list[int]:
         if tok == "":
             continue
         if ".." in tok:
-            lo_s, hi_s = tok.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            # validated before range() so a huge range fails at once
+            lo, hi = (check_dimension(int(end)) for end in tok.split("..", 1))
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {tok!r}")
             out.extend(range(lo, hi + 1))

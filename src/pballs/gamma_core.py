@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from ._kernels import gamma_ratio_log
 
@@ -111,11 +112,20 @@ EM_ORDER = 5
 # few-ulp error and the error in the roots the tails are built from.
 _ROUNDING_ULPS = 32
 
-# B_{2j}/((2j)(2j-1)) for j = 1..EM_ORDER: the Euler-Maclaurin weights of
-# d^{2j-1}/dx^{2j-1} log(x+c) = (2j-2)! (x+c)^{1-2j}; and |B_12|/(12*11),
-# the weight of the first omitted term, which bounds the remainder.
-_LOG_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
-_LOG_EM_REMAINDER = 691.0 / 360360.0
+# B_2, B_4, ..., B_12, exact.  B_{2j} weighs the j-th Euler-Maclaurin
+# correction of a tail for j <= EM_ORDER, and at j = EM_ORDER + 1 the first
+# omitted term, which bounds the remainder.
+_BERNOULLI = tuple(map(Fraction, ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730")))
+
+
+def _em_table(divisor) -> tuple[tuple[float, ...], float]:
+    """(B_{2j}/divisor(2j) for j = 1..EM_ORDER, |B_{2j}|/divisor(2j) at j = EM_ORDER + 1)."""
+    weights = [float(_BERNOULLI[j - 1] / divisor(2 * j)) for j in range(1, EM_ORDER + 2)]
+    return tuple(weights[:-1]), abs(weights[-1])
+
+
+# B_{2j}/((2j)(2j-1)), the weights of d^{2j-1}/dx^{2j-1} log(x+c) = (2j-2)! (x+c)^{1-2j}
+_LOG_EM_WEIGHTS, _LOG_EM_REMAINDER = _em_table(lambda m: m * (m - 1))
 
 
 def rounding_allowance(scale: float) -> float:

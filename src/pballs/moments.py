@@ -25,13 +25,12 @@ bounds the routes report rather than on a fixed tolerance:
 ``kuperberg_verdict`` holds f to the conjectured ceiling n/(n+2)^2,
 attained at the self-dual point p = 2, up to the value's own error;
 ``monotone_verdict`` holds f to rising on [1, 2] and falling on [2, inf],
-a step counting only beyond the two cells' summed errors;
-``routes_agree`` holds the closed form and the product to each other
-within their two bounds, on a product bound that met REL_TOL;
-``bound_comparator`` orders two products only when their gap exceeds both
-tail bounds; ``mc_agrees`` holds a Monte Carlo estimate to a value within
-MC_STD_ERRORS standard errors.  The CLI and the verify suites call these
-rules on their own grids.
+a step counting only beyond the two cells' summed errors (on product
+values, this is also the paper's comparator order of P(R) and P(S));
+``routes_agree`` holds the closed form and the product to each other within
+their two bounds, on a product bound that met REL_TOL; ``mc_agrees`` holds a
+Monte Carlo estimate to a value within MC_STD_ERRORS standard errors.  The
+CLI and the verify suites call these rules on their own grids.
 """
 
 from __future__ import annotations
@@ -46,18 +45,18 @@ from .gamma_core import (
     EM_ORDER,
     EPS,
     ProductResult,
+    _em_table,
     ln_gamma,
     log_pair_tail,
     rounding_allowance,
     run_truncated_log_sum,
 )
-from .pball import Exponent, _whole, as_exponent, check_dimension
+from .pball import Exponent, _moment_log_terms, _whole, as_exponent, check_dimension
 
 __all__ = [
     "Sign",
     "MomentResult",
     "SignReport",
-    "ComparatorResult",
     "MonotonicityScan",
     "f_endpoint",
     "f_gamma",
@@ -71,7 +70,6 @@ __all__ = [
     "kuperberg_bound",
     "kuperberg_verdict",
     "mc_agrees",
-    "bound_comparator",
     "remark_limit_check",
 ]
 
@@ -82,11 +80,9 @@ MC_STD_ERRORS = 3.0
 # relative error is a few ulp of the sum of those terms' sizes.
 GAMMA_ROUNDING_ULPS = 16.0
 
-# B_{2j}/(2j) for j = 1..EM_ORDER, the Euler-Maclaurin weights of
-# G^{(2j-1)}/(2j-1)! in the derivative-sign tail, and |B_12|/12 for the
-# first omitted term.
-_SIGN_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
-_SIGN_EM_REMAINDER = 691.0 / 32760.0
+# B_{2j}/(2j), the Euler-Maclaurin weights of G^{(2j-1)}/(2j-1)! in the
+# derivative-sign tail.
+_SIGN_EM_WEIGHTS, _SIGN_EM_REMAINDER = _em_table(lambda m: m)
 
 
 class Sign(enum.Enum):
@@ -131,22 +127,6 @@ class SignReport:
 
 
 @dataclass(frozen=True)
-class ComparatorResult:
-    """P(R) vs P(S) for the two-parameter product comparator.
-
-    verdict: the products are ordered as expected and further apart than
-    their tail bounds allow either to be off.
-    """
-
-    product_r: float
-    product_s: float
-    expected: str  # "less" on [1,2]^2 regimes, "greater" on [2,inf]^2
-    verdict: bool
-    tail_bound_r: float
-    tail_bound_s: float
-
-
-@dataclass(frozen=True)
 class MonotonicityScan:
     """(exponent, f, error) points on one side of 2 plus the ordering verdict.
 
@@ -181,13 +161,13 @@ def f_gamma(n, p) -> MomentResult:
     e = as_exponent(p)
     if e.is_endpoint:
         return MomentResult(f_endpoint(n), 0.0, n, e)
-    pp, qq = e.p, e.q
+    # f = n * m(n, p) * m(n, q), m the ball's E[x_1^2]; the terms are added
+    # p then q, pair by pair, an order the printed values depend on
     ln_n = math.log(n)
-    num = (ln_gamma(3.0 / pp), ln_gamma(3.0 / qq), ln_gamma(1.0 + n / pp), ln_gamma(1.0 + n / qq))
-    den = (ln_gamma(1.0 / pp), ln_gamma(1.0 / qq), ln_gamma(1.0 + (n + 2) / pp), ln_gamma(1.0 + (n + 2) / qq))
-    log_f = ln_n + num[0] + num[1] + num[2] + num[3] - den[0] - den[1] - den[2] - den[3]
+    a, b = _moment_log_terms(n, e.p), _moment_log_terms(n, e.q)
+    log_f = ln_n + a[0] + b[0] + a[1] + b[1] + a[2] + b[2] + a[3] + b[3]
     value = math.exp(log_f)
-    scale = 2.0 + abs(ln_n) + sum(abs(v) for v in num + den)
+    scale = 2.0 + abs(ln_n) + sum(abs(v) for pair in zip(a, b) for v in pair)
     error = GAMMA_ROUNDING_ULPS * EPS * scale * value
     return MomentResult(value, error, n, e)
 
@@ -417,39 +397,6 @@ def kuperberg_verdict(result: MomentResult) -> tuple[bool, float]:
 def mc_agrees(estimate, value: float) -> bool:
     """Whether a Monte Carlo estimate lies within MC_STD_ERRORS standard errors of value."""
     return abs(estimate.mean - value) <= MC_STD_ERRORS * estimate.std_error
-
-
-def bound_comparator(n, r, s) -> ComparatorResult:
-    """Compare P(R) and P(S) for exponent pairs on one side of 2.
-
-    R = (r-1)/r^2 and S = (s-1)/s^2 (0 at infinity).  For
-    1 <= r < s <= 2 the parameter increases with the exponent, so the
-    expected order is P(R) < P(S); for 2 <= r < s <= inf it decreases and
-    the order reverses.  Pairs straddling 2 are rejected.  The verdict
-    needs the certified separation: the gap in the expected direction must
-    exceed P(R)*expm1(tail_bound_r) + P(S)*expm1(tail_bound_s), the most
-    the two values can be off.
-    """
-    n = check_dimension(n)
-    if n < 2:
-        raise ValueError("bound_comparator is stated for n >= 2")
-    r = float(r)
-    s = float(s)
-    if not (1.0 <= r < s):
-        raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
-    if s <= 2.0:
-        expected = "less"
-    elif r >= 2.0:
-        expected = "greater"
-    else:
-        raise ValueError(f"(r, s) = ({r}, {s}) straddles 2; both must lie on one side")
-
-    p_r = gk_ratio_product(n, as_exponent(r).t)
-    p_s = gk_ratio_product(n, as_exponent(s).t)
-    gap = p_s.value - p_r.value if expected == "less" else p_r.value - p_s.value
-    allowance = p_r.value * math.expm1(p_r.tail_bound) + p_s.value * math.expm1(p_s.tail_bound)
-    verdict = gap > allowance
-    return ComparatorResult(p_r.value, p_s.value, expected, verdict, p_r.tail_bound, p_s.tail_bound)
 
 
 def remark_limit_check(n, q_large: float) -> float:

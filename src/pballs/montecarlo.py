@@ -43,10 +43,11 @@ class MCConfig:
     streams: int = 8
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.streams < 1:
-            raise ValueError("streams must be >= 1")
+        for name, least in (("samples", 1), ("seed", 0), ("streams", 1)):
+            value = _whole(getattr(self, name), name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, value)
         if self.samples % self.streams:
             raise ValueError(
                 f"samples ({self.samples}) must be divisible by streams ({self.streams})"

@@ -165,6 +165,12 @@ def second_moment_integral(n, p) -> float:
     return _inf_on_overflow(math.exp, ln_phi)
 
 
+def _moment_log_terms(n: int, p: float) -> tuple[float, float, float, float]:
+    """The signed ln Gamma terms whose sum is ln E[x_1^2] on B_p^n, for finite p:
+    E[x_1^2] = Gamma(3/p)Gamma(1+n/p) / [Gamma(1/p)Gamma(1+(n+2)/p)]."""
+    return ln_gamma(3.0 / p), ln_gamma(1.0 + n / p), -ln_gamma(1.0 / p), -ln_gamma(1.0 + (n + 2) / p)
+
+
 def normalized_second_moment(n, p) -> float:
     """Mean of x_1^2 under the uniform law on the unit p-ball; lies in (0, 1/3]."""
     n = check_dimension(n)
@@ -173,13 +179,4 @@ def normalized_second_moment(n, p) -> float:
         return 1.0 / 3.0
     if e.p == 1.0:
         return 2.0 / ((n + 1) * (n + 2))
-    pp = e.p
-    ln_ratio = (
-        math.log(2.0 / pp)
-        + _ln_volume(n - 1, pp)
-        - _ln_volume(n, pp)
-        + ln_gamma(3.0 / pp)
-        + ln_gamma(1.0 + (n - 1) / pp)
-        - ln_gamma(1.0 + (n + 2) / pp)
-    )
-    return math.exp(ln_ratio)
+    return math.exp(sum(_moment_log_terms(n, e.p)))

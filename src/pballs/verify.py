@@ -5,11 +5,12 @@ so the CLI and the test suite can share one implementation.  The grids and
 the tolerances of the identity checks are fixed here; the paper's claims
 (the ceiling, the monotone order, the comparators and Monte Carlo
 agreement) are judged by the shared rules in :mod:`pballs.moments`, on the
-certified bounds the routes report; the CLI uses the same rules.  Suites
-that truncate a series run the driver's one fixed contract (MAX_TERMS,
-REL_TOL in :mod:`pballs.gamma_core`) and take no arguments; the Monte Carlo
-suite takes one :class:`~pballs.montecarlo.MCConfig` and draws every point
-through the chunked reducer of :mod:`pballs.montecarlo`.
+certified bounds the routes report (the comparators by the monotone rule on
+product cells); the CLI uses the same rules.  Suites that truncate a series
+run the driver's one fixed contract (MAX_TERMS, REL_TOL in
+:mod:`pballs.gamma_core`) and take no arguments; the Monte Carlo suite takes
+one :class:`~pballs.montecarlo.MCConfig` and draws every point through the
+chunked reducer of :mod:`pballs.montecarlo`.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from .moments import (
     GAMMA_ROUNDING_ULPS,
     MC_STD_ERRORS,
     Sign,
-    bound_comparator,
     derivative_sign_series,
     f_endpoint,
     f_gamma,
     f_product,
     kuperberg_verdict,
     mc_agrees,
+    monotone_verdict,
     monotonicity_scan,
     per_term_minimum,
     remark_limit_check,
@@ -324,10 +325,18 @@ def suite_remark_limit() -> list[Check]:
 # --------------------------------------------------------------------------
 # comparators
 
+def _products_ordered(n: int, r: float, s: float) -> bool:
+    # The corollary for r < s orders P(R) and P(S), R = (r-1)/r^2.  R is the
+    # product parameter t = (p-1)/p^2 at p = r and f = (n/9)*P(t), so this is
+    # the strict order of the product route's f on one side of 2.
+    cells = [(e, fp.value, fp.error_estimate) for e in (r, s) for fp in (f_product(n, e),)]
+    return monotone_verdict(n, cells).strict
+
+
 def suite_corollaries() -> list[Check]:
     checks = []
     for label, pairs in (("forward", COMPARATOR_PAIRS_LOW), ("reversed", COMPARATOR_PAIRS_HIGH)):
-        bad = [(n, r, s) for n in (2, 5, 20) for r, s in pairs if not bound_comparator(n, r, s).verdict]
+        bad = [(n, r, s) for n in (2, 5, 20) for r, s in pairs if not _products_ordered(n, r, s)]
         checks.append(_check(
             f"comparator-{label}", not bad,
             f"10 (r,s) pairs x n in {{2,5,20}}, products ordered by more than their tail bounds"

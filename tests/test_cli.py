@@ -130,6 +130,18 @@ class TestScan:
         code, _, _ = run_cli(capsys, "scan", "--n", "5..2", "--p", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [("1..1000000000000000000", "exceeds the supported cap"), ("0..3", "must be >= 1")],
+    )
+    def test_range_ends_are_checked_before_expanding(self, capsys, n, message):
+        # a range past the dimension cap is a usage error at once, not an
+        # attempt to list every dimension in it
+        code, out, err = run_cli(capsys, "scan", "--n", n, "--p", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_repeated_exponent_is_judged_once(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--n", "3", "--p", "1.5,1.5,2")
         assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pballs.gamma_core import (
+    EM_ORDER,
     FIRST_HEAD,
     MAX_TERMS,
     REL_TOL,
@@ -112,6 +113,17 @@ class TestTruncationDriver:
         assert out.terms == MAX_TERMS
         assert math.isinf(out.tail_bound)
         assert abs(out.total - 1.0) <= 2.0 / MAX_TERMS
+
+    def test_euler_maclaurin_tables_are_the_bernoulli_weights(self):
+        # derived from the exact B_2..B_12, bit for bit the hand-typed weights
+        # B_{2j}/((2j)(2j-1)) and B_{2j}/(2j) with their remainder weights
+        from pballs import gamma_core, moments
+
+        assert EM_ORDER == 5
+        assert gamma_core._LOG_EM_WEIGHTS == (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+        assert gamma_core._LOG_EM_REMAINDER == 691.0 / 360360.0
+        assert moments._SIGN_EM_WEIGHTS == (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
+        assert moments._SIGN_EM_REMAINDER == 691.0 / 32760.0
 
     def test_wrong_tail_fails_the_doubling_check(self):
         # claiming a zero tail is refuted by the terms between N and 2N

@@ -6,7 +6,6 @@ import pytest
 from pballs.gamma_core import FIRST_HEAD, REL_TOL, ProductResult
 from pballs.moments import (
     Sign,
-    bound_comparator,
     derivative_sign_series,
     f_endpoint,
     f_gamma,
@@ -324,43 +323,62 @@ class TestRunSuite:
         assert not check.passed
 
 
-class TestBoundComparator:
+def _product_cells(n, r, s):
+    return [(e, fp.value, fp.error_estimate) for e in (r, s) for fp in (f_product(n, e),)]
+
+
+class TestComparatorOrder:
+    # The corollaries order P(R) and P(S), R = (r-1)/r^2 = t(r); since
+    # f = (n/9)*P(t), that is monotone_verdict on the f_product cells.
     def test_forward_regime_telescoped_endpoints(self):
-        res = bound_comparator(2, 1.0, 2.0)
-        assert res.product_r == 0.5
-        assert res.product_s == 9.0 / 16.0
-        assert res.expected == "less"
-        assert res.verdict
+        verdict = monotone_verdict(2, _product_cells(2, 1.0, 2.0))
+        assert verdict.strict
+        assert verdict.points == [(1.0, f_endpoint(2), 0.0), (2.0, kuperberg_bound(2), 0.0)]
 
     def test_reversed_regime(self):
-        res = bound_comparator(3, 2.0, math.inf)
-        assert res.product_r == 9.0 / 25.0
-        assert res.product_s == 6.0 / 20.0
-        assert res.expected == "greater"
-        assert res.verdict
+        verdict = monotone_verdict(3, _product_cells(3, 2.0, math.inf))
+        assert verdict.strict
+        assert verdict.points == [(2.0, kuperberg_bound(3), 0.0), (math.inf, f_endpoint(3), 0.0)]
 
     def test_interior_pair(self):
-        res = bound_comparator(5, 1.2, 1.8)
-        assert res.verdict
-        assert res.product_r < res.product_s
+        verdict = monotone_verdict(5, _product_cells(5, 1.2, 1.8))
+        assert verdict.strict
+        (_, f_r, _), (_, f_s, _) = verdict.points
+        assert f_r < f_s
 
-    def test_gap_below_the_tail_bounds_is_no_verdict(self):
-        # the products are in the expected order, but closer than their
+    def test_gap_below_the_summed_bounds_is_not_strict(self):
+        # the values are in the expected order, but closer than their
         # bounds allow either to be off
-        res = bound_comparator(5, 1.5, 1.5 + 1e-12)
-        assert res.product_r < res.product_s
-        allowance = res.product_r * math.expm1(res.tail_bound_r) + res.product_s * math.expm1(res.tail_bound_s)
-        assert res.product_s - res.product_r < allowance
-        assert not res.verdict
+        verdict = monotone_verdict(5, _product_cells(5, 1.5, 1.5 + 1e-12))
+        (_, f_r, e_r), (_, f_s, e_s) = verdict.points
+        assert f_r < f_s < f_r + e_r + e_s
+        assert verdict.monotone and not verdict.strict
+        assert verdict.first_violation == (1.5, 1.5 + 1e-12)
 
     @pytest.mark.parametrize("r,s", [(1.5, 3.0), (1.0, 2.5), (2.0, 2.0), (3.0, 2.5), (0.5, 1.5)])
     def test_bad_pairs_rejected(self, r, s):
         with pytest.raises(ValueError):
-            bound_comparator(4, r, s)
+            monotone_verdict(4, _product_cells(4, r, s))
 
-    def test_n1_rejected(self):
-        with pytest.raises(ValueError):
-            bound_comparator(1, 1.0, 2.0)
+    def test_n1_is_monotone_but_not_strict(self):
+        # f(1, .) = 1/9 at every p: the products are equal, not ordered
+        verdict = monotone_verdict(1, _product_cells(1, 1.0, 2.0))
+        assert verdict.monotone and not verdict.strict
+
+    def test_comparators_fail_when_the_bounds_swallow_every_step(self, monkeypatch):
+        from pballs import verify
+
+        real = verify.f_product
+
+        def loose(n, p):
+            fp = real(n, p)
+            return dataclasses.replace(fp, error_estimate=fp.value)
+
+        monkeypatch.setattr(verify, "f_product", loose)
+        checks = verify.suite_corollaries()
+        assert [c.name for c in checks] == ["comparator-forward", "comparator-reversed"]
+        assert not any(c.passed for c in checks)
+        assert all("FAILURES" in c.detail for c in checks)
 
 
 class TestRemarkLimit:

@@ -27,6 +27,27 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"samples": 10.5, "streams": 1.5},
+            {"streams": 2.5},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": math.inf},
+            {"samples": "8"},
+        ],
+    )
+    def test_rejected_when_built_not_at_the_first_draw(self, kwargs):
+        with pytest.raises(ValueError):
+            MCConfig(**kwargs)
+
+    def test_whole_floats_are_stored_as_ints_and_draw_the_same(self):
+        cfg = MCConfig(samples=4000.0, seed=3.0, streams=2.0)
+        assert (cfg.samples, cfg.seed, cfg.streams) == (4000, 3, 2)
+        assert all(type(v) is int for v in (cfg.samples, cfg.seed, cfg.streams))
+        assert estimate_f(3, 1.5, cfg) == estimate_f(3, 1.5, MCConfig(4000, 3, 2))
+
 
 class TestSampleBall:
     @pytest.mark.parametrize("n,p", [(1, 2.0), (2, 1.0), (3, 1.5), (4, math.inf), (5, 3.0), (20, 2.0)])
