@@ -327,7 +327,7 @@ def _product_cells(n, r, s):
     return [(e, fp.value, fp.error_estimate) for e in (r, s) for fp in (f_product(n, e),)]
 
 
-class TestComparatorOrder:
+class TestBoundComparator:
     # The corollaries order P(R) and P(S), R = (r-1)/r^2 = t(r); since
     # f = (n/9)*P(t), that is monotone_verdict on the f_product cells.
     def test_forward_regime_telescoped_endpoints(self):
@@ -346,7 +346,7 @@ class TestComparatorOrder:
         (_, f_r, _), (_, f_s, _) = verdict.points
         assert f_r < f_s
 
-    def test_gap_below_the_summed_bounds_is_not_strict(self):
+    def test_gap_below_the_tail_bounds_is_no_verdict(self):
         # the values are in the expected order, but closer than their
         # bounds allow either to be off
         verdict = monotone_verdict(5, _product_cells(5, 1.5, 1.5 + 1e-12))
