@@ -23,7 +23,6 @@ from .moments import (
     f_product,
     gk_ratio_product,
     kuperberg_bound,
-    monotonicity_scan,
     per_term_minimum,
     remark_limit_check,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "gk_ratio_product",
     "kuperberg_bound",
     "ln_gamma",
-    "monotonicity_scan",
     "normalized_second_moment",
     "per_term_minimum",
     "remark_limit_check",

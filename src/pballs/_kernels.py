@@ -15,6 +15,17 @@ def _krange(k_lo: int, k_hi: int) -> np.ndarray:
     return np.arange(k_lo, k_hi + 1, dtype=np.float64)
 
 
+def _quadratics(n: float, t: float, k: np.ndarray):
+    """g_k(m,t) = k^2 + m*k + m^2*t at m = 1, 3, n, n+2."""
+    m = n + 2.0
+    return (
+        k * k + k + t,
+        k * k + 3.0 * k + 9.0 * t,
+        k * k + n * k + n * n * t,
+        k * k + m * k + m * m * t,
+    )
+
+
 def moment_product_log(n: float, t: float, k_lo: int, k_hi: int):
     """Sum of log factors of the g_k ratio product.
 
@@ -27,8 +38,6 @@ def moment_product_log(n: float, t: float, k_lo: int, k_hi: int):
 
     Returns (log_sum, abs_log_sum).
     """
-    if k_hi < k_lo:
-        return 0.0, 0.0
     k = _krange(k_lo, k_hi)
     den = (k * k + 3.0 * k + 9.0 * t) * (k * k + n * k + n * n * t)
     diff = -2.0 * (n - 1.0) * (
@@ -47,8 +56,6 @@ def gamma_ratio_log(x: float, a: float, k_lo: int, k_hi: int):
 
     Returns (log_abs_sum, abs_log_sum), the second the sum of the terms' sizes.
     """
-    if k_hi < k_lo:
-        return 0.0, 0.0
     k = _krange(k_lo, k_hi)
     shift = a * (x + a - 1.0)
     den = (k - a) * (k + x + a - 1.0)
@@ -75,10 +82,7 @@ def sign_series_sum(n: float, t: float, k_lo: int, k_hi: int):
         return 0.0, 0.0, np.inf
     k = _krange(k_lo, k_hi)
     m = n + 2.0
-    g1 = k * k + k + t
-    g3 = k * k + 3.0 * k + 9.0 * t
-    gn = k * k + n * k + n * n * t
-    gm = k * k + m * k + m * m * t
+    g1, g3, gn, gm = _quadratics(n, t, k)
     terms = (n - 1.0) * (
         ((n + 5.0) * k * k + 3.0 * m * k) / (g3 * gm)
         - ((n + 1.0) * k * k + n * k) / (g1 * gn)
@@ -98,10 +102,7 @@ def ineq3_min(n: float, t: float, k_lo: int, k_hi: int):
         return np.inf, k_lo
     k = _krange(k_lo, k_hi)
     m = n + 2.0
-    g1 = k * k + k + t
-    g3 = k * k + 3.0 * k + 9.0 * t
-    gn = k * k + n * k + n * n * t
-    gm = k * k + m * k + m * m * t
+    g1, g3, gn, gm = _quadratics(n, t, k)
     vals = n * n * g3 * gm * (gn - g1) + gn * (m * m * g1 * g3 - 9.0 * gm)
     i = int(vals.argmin())
     return float(vals[i]), k_lo + i

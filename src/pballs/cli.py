@@ -92,7 +92,10 @@ def _parse_p(token: str) -> float:
 
 
 def _parse_p_list(text: str) -> list[float]:
-    return [_parse_p(tok) for tok in text.split(",") if tok != ""]
+    out = [_parse_p(tok) for tok in text.split(",") if tok != ""]
+    if not out:
+        raise argparse.ArgumentTypeError(f"no exponents in {text!r}")
+    return out
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -163,18 +166,18 @@ def cmd_scan(args) -> int:
     by_n: dict[int, dict[float, MomentResult]] = {}
     for row, closed in cells:
         by_n.setdefault(row.n, {})[row.p] = closed
-    # a side of 2 named by at least two exponents is judged on its distinct
-    # exponents after snapping
+    # each distinct dimension is judged once per side of 2 named by at least
+    # two exponents, on its distinct exponents after snapping
     sides = [
         (side, keep) for side, keep in (
             ("nondecreasing on [1,2]", lambda p: p <= 2.0),
             ("nonincreasing on [2,inf]", lambda p: p >= 2.0),
         ) if sum(map(keep, ps)) >= 2
     ]
-    for n in ns:
-        points = [(p, r.value, r.error_estimate) for p, r in sorted(by_n[n].items())]
+    for n, by_p in by_n.items():
+        results = [r for _, r in sorted(by_p.items())]
         for side, keep in sides:
-            passed = monotone_verdict(n, [pt for pt in points if keep(pt[0])]).monotone
+            passed = monotone_verdict([r for r in results if keep(r.exponent.p)]).monotone
             print(f"# {'ok' if passed else 'FAIL'}: monotone {side} for n={n}", file=sys.stderr)
             ok &= passed
     return 0 if ok else 1

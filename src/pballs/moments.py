@@ -20,13 +20,13 @@ and y in B_q^n (q the Hoelder conjugate).  Routes implemented here:
 The sign of df/dt is decided by the series of per-factor log derivatives
 (``derivative_sign_series``), and the per-term polynomial inequality that
 the termwise argument rests on is checked verbatim (``per_term_minimum``).
-The paper's claims are judged here and only here, each on the certified
-bounds the routes report rather than on a fixed tolerance:
+The paper's claims are judged here and only here, each on the routes'
+results and their certified bounds rather than on a fixed tolerance:
 ``kuperberg_verdict`` holds f to the conjectured ceiling n/(n+2)^2,
 attained at the self-dual point p = 2, up to the value's own error;
-``monotone_verdict`` holds f to rising on [1, 2] and falling on [2, inf],
-a step counting only beyond the two cells' summed errors (on product
-values, this is also the paper's comparator order of P(R) and P(S));
+``monotone_verdict`` holds one dimension's f to rising on [1, 2] and falling
+on [2, inf], a step counting only beyond the two cells' summed errors (on
+product results, this is also the paper's comparator order of P(R), P(S));
 ``routes_agree`` holds the closed form and the product to each other within
 their two bounds, on a product bound that met REL_TOL; ``mc_agrees`` holds a
 Monte Carlo estimate to a value within MC_STD_ERRORS standard errors.  The
@@ -66,7 +66,6 @@ __all__ = [
     "derivative_sign_series",
     "per_term_minimum",
     "monotone_verdict",
-    "monotonicity_scan",
     "kuperberg_bound",
     "kuperberg_verdict",
     "mc_agrees",
@@ -128,16 +127,15 @@ class SignReport:
 
 @dataclass(frozen=True)
 class MonotonicityScan:
-    """(exponent, f, error) points on one side of 2 plus the ordering verdict.
+    """The ordering verdict on values of f(n, .) on one side of 2.
 
-    monotone: no step goes the wrong way by more than its two points'
+    monotone: no step goes the wrong way by more than its two values'
     summed errors.  strict: every step goes the right way by more than
     that sum (never for n = 1, where f is constant).  first_violation is
     the first step (p_a, p_b) that breaks the strongest order the
     dimension claims.
     """
 
-    points: list
     monotone: bool
     strict: bool
     first_violation: tuple | None
@@ -193,20 +191,15 @@ def _roots(t: float) -> tuple[float, float, float]:
 def gk_ratio_product(n, tau: float) -> ProductResult:
     """P(tau) = prod_k g_k(1,tau)g_k(n+2,tau)/(g_k(3,tau)g_k(n,tau)).
 
-    Defined for tau in [0, 1/4], where the quadratics have real roots.
-    Telescoped exact values at the ends: P(0) = 6/((n+1)(n+2)) and
-    P(1/4) = 9/(n+2)^2.  In between, the head of the product is summed
-    term by term and the tail in closed form; tail_bound bounds
-    |log(true/value)|.
+    Defined for tau in [0, 1/4], where the quadratics have real roots.  The
+    head is summed term by term and the tail in closed form, also at the
+    ends, where it telescopes to P(0) = 6/((n+1)(n+2)) and P(1/4) = 9/(n+2)^2
+    (f_product returns those exactly); tail_bound bounds |log(true/value)|.
     """
     n = check_dimension(n)
     tau = float(tau)
     if not (0.0 <= tau <= 0.25):
         raise ValueError(f"tau must lie in [0, 1/4], got {tau}")
-    if tau == 0.0:
-        return ProductResult(6.0 / ((n + 1) * (n + 2)), 0.0, 0, "tolerance")
-    if tau == 0.25:
-        return ProductResult(9.0 / ((n + 2) ** 2), 0.0, 0, "tolerance")
 
     _, a, b = _roots(tau)
     # log g_k(1)/g_k(3) and log g_k(n+2)/g_k(n), each root by root
@@ -339,17 +332,20 @@ def per_term_minimum(n, t: float, k_max: int):
     return ineq3_min(float(n), float(t), 1, k_max)
 
 
-def monotone_verdict(n, points) -> MonotonicityScan:
-    """Judge (exponent, f, error) points against the paper's order on one side of 2.
+def monotone_verdict(results) -> MonotonicityScan:
+    """Judge the results of one dimension against the paper's order on one side of 2.
 
     The exponents must increase strictly and lie on one side of 2; f must
     rise on [1, 2] and fall on [2, inf], the side read from the exponents.
-    error bounds the absolute error of each f, and a step is judged only
-    beyond the sum of its two points' errors.  A grid that straddles 2
-    raises ValueError.
+    A step is judged only beyond its two results' summed error_estimates.
+    Results from no dimension or from several, and a grid that straddles 2,
+    raise ValueError; a single result is ordered.
     """
-    n = check_dimension(n)
-    ps = [as_exponent(e).p for e, _, _ in points]
+    dims = {r.n for r in results}
+    if len(dims) != 1:
+        raise ValueError(f"results must come from one dimension, got {sorted(dims)}")
+    (n,) = dims
+    ps = [r.exponent.p for r in results]
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError(f"grid must be strictly increasing, got {ps}")
     rising = all(p <= 2.0 for p in ps)
@@ -358,29 +354,19 @@ def monotone_verdict(n, points) -> MonotonicityScan:
     monotone = True
     strict = n >= 2
     first_violation = None
-    for pa, pb, (_, fa, ea), (_, fb, eb) in zip(ps, ps[1:], points, points[1:]):
-        # the step in the direction the paper claims; errors up to ea + eb
-        # on the two values could fake or hide a step that small
-        step = fb - fa if rising else fa - fb
-        slack = ea + eb
+    for a, b in zip(results, results[1:]):
+        # the step in the direction the paper claims; errors up to the two
+        # results' summed error_estimates could fake or hide a step that small
+        step = b.value - a.value if rising else a.value - b.value
+        slack = a.error_estimate + b.error_estimate
         if step < -slack:
             monotone = strict = False
         elif n >= 2 and not step > slack:
             strict = False
         else:
             continue
-        first_violation = first_violation or (pa, pb)
-    return MonotonicityScan(points, monotone, strict, first_violation)
-
-
-def monotonicity_scan(n, grid) -> MonotonicityScan:
-    """Evaluate f along an increasing exponent grid on one side of 2 and judge its order."""
-    n = check_dimension(n)
-    exps = [as_exponent(p) for p in grid]
-    if len(exps) < 2:
-        raise ValueError("grid must contain at least two exponents")
-    results = [f_gamma(n, e) for e in exps]
-    return monotone_verdict(n, [(r.exponent, r.value, r.error_estimate) for r in results])
+        first_violation = first_violation or (a.exponent.p, b.exponent.p)
+    return MonotonicityScan(monotone, strict, first_violation)
 
 
 def kuperberg_verdict(result: MomentResult) -> tuple[bool, float]:

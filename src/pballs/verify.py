@@ -4,9 +4,10 @@ Every suite returns a list of :class:`Check` records and performs no I/O,
 so the CLI and the test suite can share one implementation.  The grids and
 the tolerances of the identity checks are fixed here; the paper's claims
 (the ceiling, the monotone order, the comparators and Monte Carlo
-agreement) are judged by the shared rules in :mod:`pballs.moments`, on the
-certified bounds the routes report (the comparators by the monotone rule on
-product cells); the CLI uses the same rules.  Suites that truncate a series
+agreement) are judged by the shared rules in :mod:`pballs.moments`, which
+take the routes' results and read the certified bounds they carry (the
+comparators by the monotone rule on two product results); the CLI uses the
+same rules.  Suites that truncate a series
 run the driver's one fixed contract (MAX_TERMS, REL_TOL in
 :mod:`pballs.gamma_core`) and take no arguments; the Monte Carlo suite takes
 one :class:`~pballs.montecarlo.MCConfig` and draws every point through the
@@ -32,7 +33,6 @@ from .moments import (
     kuperberg_verdict,
     mc_agrees,
     monotone_verdict,
-    monotonicity_scan,
     per_term_minimum,
     remark_limit_check,
     routes_agree,
@@ -246,8 +246,8 @@ def suite_monotonicity() -> list[Check]:
 
     inc_grid = [1.0 + 0.05 * i for i in range(21)]
     dec_grid = _geomspace(2.0, 100.0, 20) + [math.inf]
-    ok_inc = all(monotonicity_scan(n, inc_grid).strict for n in range(2, 21))
-    ok_dec = all(monotonicity_scan(n, dec_grid).strict for n in range(2, 21))
+    ok_inc = all(monotone_verdict([f_gamma(n, p) for p in inc_grid]).strict for n in range(2, 21))
+    ok_dec = all(monotone_verdict([f_gamma(n, p) for p in dec_grid]).strict for n in range(2, 21))
     checks.append(_check(
         "monotone-increasing", ok_inc,
         "f strictly increasing on 21-point grid in [1,2] for n=2..20",
@@ -325,18 +325,14 @@ def suite_remark_limit() -> list[Check]:
 # --------------------------------------------------------------------------
 # comparators
 
-def _products_ordered(n: int, r: float, s: float) -> bool:
-    # The corollary for r < s orders P(R) and P(S), R = (r-1)/r^2.  R is the
-    # product parameter t = (p-1)/p^2 at p = r and f = (n/9)*P(t), so this is
-    # the strict order of the product route's f on one side of 2.
-    cells = [(e, fp.value, fp.error_estimate) for e in (r, s) for fp in (f_product(n, e),)]
-    return monotone_verdict(n, cells).strict
-
-
 def suite_corollaries() -> list[Check]:
     checks = []
     for label, pairs in (("forward", COMPARATOR_PAIRS_LOW), ("reversed", COMPARATOR_PAIRS_HIGH)):
-        bad = [(n, r, s) for n in (2, 5, 20) for r, s in pairs if not _products_ordered(n, r, s)]
+        # The corollary for r < s orders P(R) and P(S), R = (r-1)/r^2.  R is the
+        # product parameter t = (p-1)/p^2 at p = r and f = (n/9)*P(t), so this is
+        # the strict order of the product route's f on one side of 2.
+        bad = [(n, r, s) for n in (2, 5, 20) for r, s in pairs
+               if not monotone_verdict([f_product(n, r), f_product(n, s)]).strict]
         checks.append(_check(
             f"comparator-{label}", not bad,
             f"10 (r,s) pairs x n in {{2,5,20}}, products ordered by more than their tail bounds"

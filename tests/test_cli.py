@@ -148,6 +148,22 @@ class TestScan:
         assert len(out.strip().splitlines()) == 4
         assert err == "# ok: monotone nondecreasing on [1,2] for n=3\n"
 
+    def test_repeated_dimension_is_judged_once(self, capsys):
+        # every listed cell gets its row; each distinct dimension one verdict
+        code, out, err = run_cli(capsys, "scan", "--n", "2..3,3", "--p", "1,2")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["2", "2", "3", "3", "3", "3"]
+        assert err == (
+            "# ok: monotone nondecreasing on [1,2] for n=2\n"
+            "# ok: monotone nondecreasing on [1,2] for n=3\n"
+        )
+
+    def test_empty_exponent_list_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--p", ",")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no exponents in ','\n"
+
     def test_exponents_that_snap_together(self, capsys):
         # 1.0000000000001 snaps to p = 1, so the side has two distinct exponents
         code, out, err = run_cli(capsys, "scan", "--n", "3", "--p", "1,1.0000000000001,1.5")

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pballs.gamma_core import FIRST_HEAD, REL_TOL, ProductResult
+from pballs.gamma_core import FIRST_HEAD, REL_TOL
 from pballs.moments import (
     Sign,
     derivative_sign_series,
@@ -15,7 +15,6 @@ from pballs.moments import (
     kuperberg_verdict,
     mc_agrees,
     monotone_verdict,
-    monotonicity_scan,
     per_term_minimum,
     remark_limit_check,
 )
@@ -107,9 +106,12 @@ class TestFProduct:
 
 class TestGkRatioProduct:
     def test_exact_ends(self):
-        for n in (2, 5, 20):
+        # the summed product reaches the telescoped values within its own bound
+        for n in (1, 2, 5, 20, 10**3, 10**6):
             for tau, exact in ((0.0, 6.0 / ((n + 1) * (n + 2))), (0.25, 9.0 / ((n + 2) ** 2))):
-                assert gk_ratio_product(n, tau) == ProductResult(exact, 0.0, 0, "tolerance")
+                res = gk_ratio_product(n, tau)
+                assert res.converged
+                assert abs(math.log(res.value / exact)) <= res.tail_bound
 
     @pytest.mark.parametrize("tau", [-0.1, 0.26, 1.0])
     def test_tau_outside_real_roots_rejected(self, tau):
@@ -174,83 +176,98 @@ class TestPerTermPositivity:
         assert 1 <= arg <= 10_000
 
 
+def _gamma_results(n, grid):
+    return [f_gamma(n, p) for p in grid]
+
+
 class TestMonotonicityScan:
     def test_constant_for_n1(self):
-        scan = monotonicity_scan(1, [1.0, 1.5, 2.0])
+        results = _gamma_results(1, [1.0, 1.5, 2.0])
+        scan = monotone_verdict(results)
         assert scan.monotone
         assert not scan.strict
-        for _, value, _ in scan.points:
-            assert value == pytest.approx(1.0 / 9.0, rel=1e-13)
+        for r in results:
+            assert r.value == pytest.approx(1.0 / 9.0, rel=1e-13)
 
     def test_strict_increase_for_n2(self):
-        scan = monotonicity_scan(2, [1.0, 2.0])
+        results = _gamma_results(2, [1.0, 2.0])
+        scan = monotone_verdict(results)
         assert scan.monotone and scan.strict
-        assert scan.points[0][1] == pytest.approx(1.0 / 9.0, rel=1e-13)
-        assert scan.points[1][1] == pytest.approx(0.125, rel=1e-13)
+        assert results[0].value == pytest.approx(1.0 / 9.0, rel=1e-13)
+        assert results[1].value == pytest.approx(0.125, rel=1e-13)
 
     def test_21_point_grid_ends_at_self_dual(self):
-        grid = [1.0 + 0.05 * i for i in range(21)]
-        scan = monotonicity_scan(3, grid)
+        results = _gamma_results(3, [1.0 + 0.05 * i for i in range(21)])
+        scan = monotone_verdict(results)
         assert scan.strict
         assert scan.first_violation is None
-        assert scan.points[-1][1] == pytest.approx(3.0 / 25.0, rel=1e-12)
+        assert results[-1].value == pytest.approx(3.0 / 25.0, rel=1e-12)
 
     def test_unordered_grid_rejected(self):
         with pytest.raises(ValueError):
-            monotonicity_scan(2, [1.0, 1.6, 1.4])
+            monotone_verdict(_gamma_results(2, [1.0, 1.6, 1.4]))
 
     def test_out_of_range_grid_rejected(self):
         with pytest.raises(ValueError):
-            monotonicity_scan(2, [1.0, 2.5])
+            monotone_verdict(_gamma_results(2, [1.0, 2.5]))
 
     def test_short_grid_rejected(self):
-        with pytest.raises(ValueError):
-            monotonicity_scan(2, [1.5])
+        # no results name no dimension to judge
+        with pytest.raises(ValueError, match="one dimension"):
+            monotone_verdict([])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            monotone_verdict([f_gamma(2, 1.0), f_gamma(3, 1.5)])
 
     def test_falling_side(self):
         grid = [2.0, 3.0, 10.0, math.inf]
-        scan = monotonicity_scan(3, grid)
+        scan = monotone_verdict(_gamma_results(3, grid))
         assert scan.monotone and scan.strict
         assert scan.first_violation is None
-        flat = monotonicity_scan(1, grid)
+        flat = monotone_verdict(_gamma_results(1, grid))
         assert flat.monotone and not flat.strict
 
     def test_grid_straddling_two_rejected(self):
         with pytest.raises(ValueError, match="straddles 2"):
-            monotonicity_scan(3, [1.5, 2.5])
+            monotone_verdict(_gamma_results(3, [1.5, 2.5]))
 
     def test_flat_step_up_to_self_dual_is_not_strict(self):
         # the computed f falls by about 1e-16 on this step: within the two
         # points' summed errors, so monotone, but not the strict rise
         # claimed for n >= 2
-        scan = monotonicity_scan(3, [1.9999999, 2.0])
+        scan = monotone_verdict(_gamma_results(3, [1.9999999, 2.0]))
         assert scan.monotone
         assert not scan.strict
         assert scan.first_violation == (1.9999999, 2.0)
 
 
+def _cell(n, p, value, error=0.0):
+    return dataclasses.replace(f_gamma(n, p), value=value, error_estimate=error)
+
+
 class TestMonotoneVerdict:
     def test_wrong_direction_is_reported(self):
-        verdict = monotone_verdict(2, [(2.0, 0.1, 0.0), (3.0, 0.2, 0.0), (4.0, 0.1, 0.0)])
+        verdict = monotone_verdict([_cell(2, 2.0, 0.1), _cell(2, 3.0, 0.2), _cell(2, 4.0, 0.1)])
         assert not verdict.monotone and not verdict.strict
         assert verdict.first_violation == (2.0, 3.0)
 
     def test_one_point_is_vacuously_ordered(self):
-        verdict = monotone_verdict(3, [(1.5, 0.1, 0.0)])
+        verdict = monotone_verdict([_cell(3, 1.5, 0.1)])
         assert verdict.monotone and verdict.strict
 
     def test_repeated_exponent_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            monotone_verdict(2, [(1.5, 0.1, 0.0), (1.5, 0.2, 0.0)])
+            monotone_verdict([_cell(2, 1.5, 0.1), _cell(2, 1.5, 0.2)])
 
     def test_steps_are_judged_beyond_the_summed_errors(self):
         # each point is known to within 1e-9, so a step counts only beyond 2e-9
         for step in (1e-9, -1e-9):
-            verdict = monotone_verdict(3, [(1.5, 0.1, 1e-9), (1.6, 0.1 + step, 1e-9)])
+            verdict = monotone_verdict([_cell(3, 1.5, 0.1, 1e-9), _cell(3, 1.6, 0.1 + step, 1e-9)])
             assert verdict.monotone and not verdict.strict
             assert verdict.first_violation == (1.5, 1.6)
-        assert monotone_verdict(3, [(1.5, 0.1, 1e-9), (1.6, 0.1 + 3e-9, 1e-9)]).strict
-        wrong = monotone_verdict(3, [(1.5, 0.1, 1e-9), (1.6, 0.1 - 3e-9, 1e-9)])
+        assert monotone_verdict([_cell(3, 1.5, 0.1, 1e-9), _cell(3, 1.6, 0.1 + 3e-9, 1e-9)]).strict
+        wrong = monotone_verdict([_cell(3, 1.5, 0.1, 1e-9), _cell(3, 1.6, 0.1 - 3e-9, 1e-9)])
         assert not wrong.monotone
 
 
@@ -323,46 +340,41 @@ class TestRunSuite:
         assert not check.passed
 
 
-def _product_cells(n, r, s):
-    return [(e, fp.value, fp.error_estimate) for e in (r, s) for fp in (f_product(n, e),)]
-
-
 class TestBoundComparator:
     # The corollaries order P(R) and P(S), R = (r-1)/r^2 = t(r); since
-    # f = (n/9)*P(t), that is monotone_verdict on the f_product cells.
+    # f = (n/9)*P(t), that is monotone_verdict on the f_product results.
     def test_forward_regime_telescoped_endpoints(self):
-        verdict = monotone_verdict(2, _product_cells(2, 1.0, 2.0))
-        assert verdict.strict
-        assert verdict.points == [(1.0, f_endpoint(2), 0.0), (2.0, kuperberg_bound(2), 0.0)]
+        cells = [f_product(2, 1.0), f_product(2, 2.0)]
+        assert monotone_verdict(cells).strict
+        assert [(c.value, c.error_estimate) for c in cells] == [(f_endpoint(2), 0.0), (kuperberg_bound(2), 0.0)]
 
     def test_reversed_regime(self):
-        verdict = monotone_verdict(3, _product_cells(3, 2.0, math.inf))
-        assert verdict.strict
-        assert verdict.points == [(2.0, kuperberg_bound(3), 0.0), (math.inf, f_endpoint(3), 0.0)]
+        cells = [f_product(3, 2.0), f_product(3, math.inf)]
+        assert monotone_verdict(cells).strict
+        assert [(c.value, c.error_estimate) for c in cells] == [(kuperberg_bound(3), 0.0), (f_endpoint(3), 0.0)]
 
     def test_interior_pair(self):
-        verdict = monotone_verdict(5, _product_cells(5, 1.2, 1.8))
-        assert verdict.strict
-        (_, f_r, _), (_, f_s, _) = verdict.points
-        assert f_r < f_s
+        r, s = f_product(5, 1.2), f_product(5, 1.8)
+        assert monotone_verdict([r, s]).strict
+        assert r.value < s.value
 
     def test_gap_below_the_tail_bounds_is_no_verdict(self):
         # the values are in the expected order, but closer than their
         # bounds allow either to be off
-        verdict = monotone_verdict(5, _product_cells(5, 1.5, 1.5 + 1e-12))
-        (_, f_r, e_r), (_, f_s, e_s) = verdict.points
-        assert f_r < f_s < f_r + e_r + e_s
+        r, s = f_product(5, 1.5), f_product(5, 1.5 + 1e-12)
+        verdict = monotone_verdict([r, s])
+        assert r.value < s.value < r.value + r.error_estimate + s.error_estimate
         assert verdict.monotone and not verdict.strict
         assert verdict.first_violation == (1.5, 1.5 + 1e-12)
 
     @pytest.mark.parametrize("r,s", [(1.5, 3.0), (1.0, 2.5), (2.0, 2.0), (3.0, 2.5), (0.5, 1.5)])
     def test_bad_pairs_rejected(self, r, s):
         with pytest.raises(ValueError):
-            monotone_verdict(4, _product_cells(4, r, s))
+            monotone_verdict([f_product(4, r), f_product(4, s)])
 
     def test_n1_is_monotone_but_not_strict(self):
         # f(1, .) = 1/9 at every p: the products are equal, not ordered
-        verdict = monotone_verdict(1, _product_cells(1, 1.0, 2.0))
+        verdict = monotone_verdict([f_product(1, 1.0), f_product(1, 2.0)])
         assert verdict.monotone and not verdict.strict
 
     def test_comparators_fail_when_the_bounds_swallow_every_step(self, monkeypatch):
