@@ -10,6 +10,9 @@ which is exactly uniform on the unit p-ball; p = inf reduces to independent
 uniforms on [-1, 1].  At p = 2 the generalized normal is X = Z / sqrt(2)
 with Z standard normal (X^2 = Z^2 / 2 ~ Gamma(1/2)), so that path draws
 normals and then the exponential, with no gamma draws, signs or powers.
+Every path builds its points in place in the array it returns, the
+general path's signs in blocks that do not change the draws, so a call
+holds about its output plus O(_SIGN_BLOCK + size) bytes.
 Streams are counter-based (Philox keyed by (seed, stream index)) and
 combined in index order, so estimates are deterministic for a given
 (seed, streams) no matter how work is scheduled.
@@ -32,6 +35,10 @@ __all__ = ["MCConfig", "MCEstimate", "sample_ball", "estimate_f", "estimate_f_fa
 
 # Coordinates per sample_ball call; part of the deterministic draw order.
 _CHUNK_ELEMENTS = 1 << 21
+# Sign integers drawn at a time on the general path.  Philox integers(0, 2)
+# gives the same values and state however the call is split, so this bounds
+# the sign arrays' memory without being part of the draw order.
+_SIGN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,15 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None):
     sum |x_i|^p <= 1 holds by construction.  Each path's generator calls
     are part of the seeded draw order: p = inf draws (size, n) uniforms;
     p = 2 draws (size, n) standard normals, then size exponentials; any
-    other p draws Gamma(1/p) magnitudes, then sign integers, then the
-    exponentials.
+    other p draws (size, n) Gamma(1/p) magnitudes, then size * n sign
+    integers in row-major order, then size exponentials.
+
+    Each path works in place on the array it returns.  The general path
+    raises the gammas to 1/p and applies the signs with copysign in blocks
+    of _SIGN_BLOCK coordinates; Philox integers are the same however the
+    call is split, and copysign and the sign-symmetric division give the
+    bits of sign * G**(1/p) / radius.  Peak memory is the output plus
+    O(_SIGN_BLOCK + size).
     """
     n = check_dimension(n)
     e = as_exponent(p)
@@ -92,11 +106,16 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None):
         x /= np.sqrt(np.einsum("ij,ij->i", x, x) + w)[:, None]
     else:
         inv_p = 1.0 / e.p
-        g = rng.standard_gamma(inv_p, size=(m, n))
-        signs = 2.0 * rng.integers(0, 2, size=(m, n)).astype(np.float64) - 1.0
-        w = rng.standard_exponential(size=m)
-        radius = (g.sum(axis=1) + w) ** inv_p
-        x = signs * g**inv_p / radius[:, None]
+        x = rng.standard_gamma(inv_p, size=(m, n))
+        radius = x.sum(axis=1)
+        x **= inv_p
+        flat = x.reshape(-1)
+        for start in range(0, flat.size, _SIGN_BLOCK):
+            part = flat[start:start + _SIGN_BLOCK]
+            np.copysign(part, rng.integers(0, 2, size=part.size) - 0.5, out=part)
+        radius += rng.standard_exponential(size=m)
+        radius **= inv_p
+        x /= radius[:, None]
     return x[0] if size is None else x
 
 

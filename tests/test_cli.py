@@ -65,9 +65,16 @@ class TestEval:
 
     @pytest.mark.parametrize("p", ["0.5", "nan", "abc", "-inf", "infinity"])
     def test_bad_exponent_is_usage_error(self, capsys, p):
+        message = {
+            "0.5": "exponent must be >= 1, got 0.5",
+            "nan": "bad exponent 'nan': not a number",
+            "abc": "bad exponent 'abc': expected a decimal literal or 'inf'",
+            "-inf": "bad exponent '-inf': use the token 'inf' for infinity",
+            "infinity": "bad exponent 'infinity': use the token 'inf' for infinity",
+        }[p]
         code, _, err = run_cli(capsys, "eval", "--n", "2", f"--p={p}")
         assert code == 2
-        assert err != ""
+        assert err == f"error: {message}\n"
 
     def test_bad_dimension_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--n", "0", "--p", "2")
@@ -147,6 +154,13 @@ class TestScan:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
         assert err == "# ok: monotone nondecreasing on [1,2] for n=3\n"
+
+    def test_one_distinct_exponent_gets_no_verdict(self, capsys):
+        # both sides of 2 hold only the one result at p = 2: nothing to order
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--p", "2,2")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 3
+        assert "#" not in err
 
     def test_repeated_dimension_is_judged_once(self, capsys):
         # every listed cell gets its row; each distinct dimension one verdict

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,9 +141,26 @@ class TestDrawOrder:
     @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, math.inf])
     def test_bit_identical_to_the_reference_draws(self, n, p):
         rng, ref = _stream_rng(31, (2, 1)), _stream_rng(31, (2, 1))
-        for m in (1000, 7):  # two calls: each consumes exactly its own draws
+        # successive calls each consume exactly their own draws; at n = 20,
+        # 7000 rows are 140,000 signs: two full sign blocks and a partial one
+        for m in (1000, 7, 7000):
             assert np.array_equal(sample_ball(n, p, rng, size=m), _reference_draw(n, p, ref, m))
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
+class TestSamplerMemory:
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, math.inf])
+    def test_peak_is_about_the_output(self, p):
+        # every path builds its points in the array it returns; NumPy reports
+        # its allocations to tracemalloc
+        rng = _stream_rng(41, (0,))
+        tracemalloc.start()
+        try:
+            x = sample_ball(20, p, rng, size=50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * x.nbytes
 
 
 class TestEstimateF:
