@@ -375,15 +375,14 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
 
     moment_pulls = []
     exchange_pulls = []
-    max_norm = 0.0
+    norm_maxima = []  # one per chunk; statistics may run on several threads
     for n in MC_MOMENT_N_GRID:
         for p in MC_MOMENT_P_GRID:
             e = as_exponent(p)
 
             def statistics(x):
-                nonlocal max_norm
                 norms = np.abs(x).max(axis=1) if math.isinf(e.p) else (np.abs(x) ** e.p).sum(axis=1)
-                max_norm = float(np.maximum(max_norm, norms.max()))  # a NaN norm stays and fails
+                norm_maxima.append(norms.max())
                 sq = x[:, 0] * x[:, 0]
                 # club the two coordinates into one per-sample difference so
                 # their (negative) correlation is priced into the band
@@ -391,7 +390,7 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
 
             estimates = _stream_means(
                 n, replace(config, seed=config.seed * 1000 + idx, streams=1), (),
-                lambda rng, rows: sample_ball(n, e, rng, size=rows), statistics,
+                lambda rng, out: sample_ball(n, e, rng, size=len(out[0]), out=out[0]), statistics,
             )
             idx += 1
             if config.samples < 2:
@@ -400,6 +399,7 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
             target = normalized_second_moment(n, e)
             moment_pulls += [_pull(sq.mean - target, sq.std_error), _pull(x1.mean, x1.std_error)]
             exchange_pulls += [_pull(d.mean, d.std_error) for d in differences]
+    max_norm = float(np.max(norm_maxima, initial=0.0))  # a NaN norm stays and fails
     # with no pull computed both checks fail: nan compares false
     worst_pull = max(moment_pulls, default=math.nan)
     checks.append(_check(

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ from pballs.montecarlo import (
     estimate_f_factored,
     sample_ball,
 )
-from pballs.pball import normalized_second_moment
+from pballs.pball import as_exponent, normalized_second_moment
 
 SMALL = MCConfig(samples=200_000, seed=7, streams=4)
 
@@ -70,6 +72,17 @@ class TestSampleBall:
     def test_rejects_bad_size(self, size):
         with pytest.raises(ValueError):
             sample_ball(3, 2.0, _stream_rng(3, (0,)), size=size)
+
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, math.inf])
+    def test_out_receives_the_same_draws(self, p):
+        out = np.full((700, 5), np.nan)
+        assert sample_ball(5, p, _stream_rng(43, (0,)), size=700, out=out) is out
+        assert np.array_equal(out, sample_ball(5, p, _stream_rng(43, (0,)), size=700))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 2), (15,)])
+    def test_out_of_another_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError):
+            sample_ball(3, 2.0, _stream_rng(3, (0,)), size=5, out=np.empty(shape))
 
     def test_one_dimensional_p2_moment(self):
         # B_2^1 is just [-1, 1], so E[x^2] = 1/3
@@ -142,7 +155,7 @@ class TestDrawOrder:
     def test_bit_identical_to_the_reference_draws(self, n, p):
         rng, ref = _stream_rng(31, (2, 1)), _stream_rng(31, (2, 1))
         # successive calls each consume exactly their own draws; at n = 20,
-        # 7000 rows are 140,000 signs: two full sign blocks and a partial one
+        # 7000 rows are 140,000 signs: eight full sign blocks and a partial one
         for m in (1000, 7, 7000):
             assert np.array_equal(sample_ball(n, p, rng, size=m), _reference_draw(n, p, ref, m))
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
@@ -220,9 +233,9 @@ class TestChunking:
         sizes = []
         real = montecarlo.sample_ball
 
-        def recording(n, p, rng, size=None):
+        def recording(n, p, rng, size=None, out=None):
             sizes.append(size)
-            return real(n, p, rng, size=size)
+            return real(n, p, rng, size=size, out=out)
 
         monkeypatch.setattr(montecarlo, "sample_ball", recording)
         n = 10**5
@@ -239,11 +252,178 @@ class TestChunking:
         elements = []
         real = montecarlo.sample_ball
 
-        def recording(n, p, rng, size=None):
+        def recording(n, p, rng, size=None, out=None):
             elements.append(size * n)
-            return real(n, p, rng, size=size)
+            return real(n, p, rng, size=size, out=out)
 
         monkeypatch.setattr(montecarlo, "sample_ball", recording)
         monkeypatch.setattr(verify, "sample_ball", recording)
         verify.suite_mc(MCConfig(400, 0, 2))
         assert elements and max(elements) <= 64
+
+
+def _sequential_means(n, config, key, draw, statistics):
+    """The reducer on one thread: streams in index order, chunks in draw order."""
+    per_stream = config.samples // config.streams
+    rows = max(1, montecarlo._CHUNK_ELEMENTS // n)
+    sums = []
+    for stream in range(config.streams):
+        rng = _stream_rng(config.seed, (*key, stream))
+        for done in range(0, per_stream, rows):
+            values = statistics(draw(rng, min(rows, per_stream - done)))
+            sums = sums or [[0.0, 0.0] for _ in values]
+            for pair, v in zip(sums, values):
+                pair[0] += float(v.sum())
+                pair[1] += float((v * v).sum())
+    count = config.samples
+    out = []
+    for total, total_sq in sums:
+        mean = total / count
+        var = max(total_sq - count * mean * mean, 0.0) / (count - 1) if count > 1 else 0.0
+        out.append((mean, math.sqrt(var / count)))
+    return out
+
+
+def _sequential_f(n, p, config):
+    e = as_exponent(p)
+    eq = e.conjugate()
+    return _sequential_means(
+        n, config, (),
+        lambda rng, m: (sample_ball(n, e, rng, size=m), sample_ball(n, eq, rng, size=m)),
+        lambda xy: (np.einsum("ij,ij->i", *xy) ** 2,),
+    )[0]
+
+
+def _sequential_f_factored(n, p, config):
+    e = as_exponent(p)
+    (a, sa), (b, sb) = (
+        _sequential_means(n, config, (side,), lambda rng, m: sample_ball(n, s, rng, size=m), lambda x: (x[:, 0] ** 2,))[0]
+        for side, s in ((0, e), (1, e.conjugate()))
+    )
+    return n * a * b, n * math.sqrt((b * sa) ** 2 + (a * sb) ** 2)
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]
+
+
+def _workers(streams):
+    return min(streams, montecarlo._usable_cpus())
+
+
+class TestStreamsOnThreads:
+    # 5 * 52,800 coordinates are over the parallel threshold, and 52,800 is
+    # divisible by 1, 3 and 8 streams
+    CALL = (5, 52_800)
+
+    def test_the_calls_below_go_parallel(self):
+        n, samples = self.CALL
+        assert samples * n >= montecarlo._PARALLEL_ELEMENTS
+
+    @pytest.mark.parametrize("streams", [1, 3, 8])
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, math.inf])
+    def test_bit_identical_to_the_sequential_reducer(self, streams, p):
+        n, samples = self.CALL
+        config = MCConfig(samples, 29, streams)
+        est = estimate_f(n, p, config)
+        assert _hex(est.mean, est.std_error) == _hex(*_sequential_f(n, p, config))
+        fac = estimate_f_factored(n, p, config)
+        assert _hex(fac.mean, fac.std_error) == _hex(*_sequential_f_factored(n, p, config))
+
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, math.inf])
+    def test_bit_identical_over_several_chunks_a_stream(self, monkeypatch, p):
+        # 40 chunks of 204 rows and one of 32 in each of the two streams
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4096)
+        n, config = 20, MCConfig(2**14, 2, 2)
+        est = estimate_f(n, p, config)
+        assert _hex(est.mean, est.std_error) == _hex(*_sequential_f(n, p, config))
+        fac = estimate_f_factored(n, p, config)
+        assert _hex(fac.mean, fac.std_error) == _hex(*_sequential_f_factored(n, p, config))
+
+    def test_more_workers_than_cores_with_rapid_switching(self, monkeypatch):
+        # eight workers on any host, switching threads every microsecond: a
+        # lost row or a sum added out of order would change the bits
+        rows = []
+        real = montecarlo.sample_ball
+
+        def recording(n, p, rng, size=None, out=None):
+            rows.append(size)
+            return real(n, p, rng, size=size, out=out)
+
+        n, samples = self.CALL
+        config = MCConfig(samples, 5, 8)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(montecarlo, "sample_ball", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = estimate_f(n, 3.0, config)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert sum(rows) == 2 * samples
+        assert _hex(est.mean, est.std_error) == _hex(*_sequential_f(n, 3.0, config))
+
+    def test_a_recorder_sees_every_row_across_all_threads(self, monkeypatch):
+        # the tracer's contract: a rebound sample_ball runs on every worker
+        calls = []
+        real = montecarlo.sample_ball
+
+        def recording(n, p, rng, size=None, out=None):
+            calls.append((size, threading.get_ident()))
+            return real(n, p, rng, size=size, out=out)
+
+        monkeypatch.setattr(montecarlo, "sample_ball", recording)
+        n, samples = self.CALL
+        est = estimate_f(n, 1.4, MCConfig(samples, 0, 8))
+        assert est.samples == samples
+        assert sum(size for size, _ in calls) == 2 * samples
+        assert len({ident for _, ident in calls}) <= _workers(8)
+
+    @pytest.mark.parametrize("failing_stream", [0, 3, 7])
+    def test_a_worker_exception_reaches_the_caller_and_no_thread_outlives_the_call(
+        self, monkeypatch, failing_stream
+    ):
+        real = montecarlo.sample_ball
+
+        def failing(n, p, rng, size=None, out=None):
+            if rng.bit_generator.seed_seq.spawn_key == (failing_stream,):
+                raise ArithmeticError(f"stream {failing_stream}")
+            return real(n, p, rng, size=size, out=out)
+
+        # four workers whatever the host, so the failing stream may land on
+        # the caller or on a helper thread
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(montecarlo, "sample_ball", failing)
+        before = threading.active_count()
+        n, samples = self.CALL
+        with pytest.raises(ArithmeticError, match=f"stream {failing_stream}"):
+            estimate_f(n, 1.4, MCConfig(samples, 0, 8))
+        assert threading.active_count() == before
+
+    def test_a_small_call_stays_on_the_calling_thread(self, monkeypatch):
+        idents = set()
+        real = montecarlo.sample_ball
+
+        def recording(n, p, rng, size=None, out=None):
+            idents.add(threading.get_ident())
+            return real(n, p, rng, size=size, out=out)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(montecarlo, "sample_ball", recording)
+        estimate_f(5, 1.4, MCConfig(1024, 0, 8))  # 5,120 coordinates
+        assert idents == {threading.get_ident()}
+
+    def test_peak_is_about_one_chunk_per_worker(self):
+        # each worker frees a chunk's points once its statistic is summed;
+        # one stream here is one chunk of 16,384 rows, x and y
+        n, config = 20, MCConfig(2**17, 0, 8)
+        chunk_xy = 2 * (config.samples // config.streams) * n * 8
+        estimate_f(n, 1.4, MCConfig(8, 0, 8))  # the first draw's lazy imports are not chunk memory
+        tracemalloc.start()
+        try:
+            estimate_f(n, 1.4, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * _workers(config.streams) * chunk_xy
