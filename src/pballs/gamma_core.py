@@ -1,20 +1,20 @@
-"""Log-gamma and a truncated gamma-ratio product.
+"""Log-gamma, two certified Stirling differences and a truncated gamma-ratio product.
 
-The gamma ratio Gamma(1-a)*Gamma(x+a)/Gamma(x) admits the product
-representation
+Each series the package truncates has factors that are ratios of linear
+terms k + c, so its tail over k >= x0 is a signed sum of differences
+D(x, h) = ln Gamma(x+h) - ln Gamma(x), and the tail of a series of their
+derivatives is one of divided differences (psi(x+h) - psi(x))/h.
+``ln_gamma_difference`` and ``digamma_divided_difference`` evaluate those
+with certified bounds; the Euler-Maclaurin order, its weights and the
+rounding allowance live here alone.  ``run_truncated_log_sum`` sums a
+series as a short head of explicit terms plus that tail over k > N, and
+checks each estimate against a second one at twice the head, all within
+the fixed limits MAX_TERMS and REL_TOL.  ``gamma_ratio_product`` evaluates
 
-    prod_{k>=1}  k*(k+x-1) / ((k-a)*(k+x+a-1)),    x > 0, a < 1,
+    Gamma(1-a)*Gamma(x+a)/Gamma(x) = prod_{k>=1} k*(k+x-1) / ((k-a)*(k+x+a-1))
 
-whose log factor k is log(k/(k-a)) + log((k+x-1)/(k+x+a-1)), a sum of
-differences of logs of linear terms.  ``run_truncated_log_sum`` sums such
-series as a short head of explicit terms plus a tail over k > N in closed
-form: Euler-Maclaurin summation (DLMF 2.10) with a certified remainder,
-plus an allowance for rounding, and checks each estimate against a second
-one at twice the head, all within the fixed limits MAX_TERMS and REL_TOL.
-``gamma_ratio_product`` evaluates the product that way and reports the
-bound next to the value; ``ln_gamma`` (the standard library's
-``math.lgamma``) provides the independent route the product is checked
-against.
+that way for x > 0, a < 1; ``ln_gamma`` (the standard library's
+``math.lgamma``) provides the independent route it is checked against.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ MAX_TERMS = 10**6
 REL_TOL = 1e-10
 
 # The head the driver sums before its first estimate, and the number of
-# Bernoulli corrections in every Euler-Maclaurin tail.
+# Bernoulli corrections in both Stirling differences.
 FIRST_HEAD = 32
 EM_ORDER = 5
 
@@ -112,9 +112,9 @@ EM_ORDER = 5
 # few-ulp error and the error in the roots the tails are built from.
 _ROUNDING_ULPS = 32
 
-# B_2, B_4, ..., B_12, exact.  B_{2j} weighs the j-th Euler-Maclaurin
-# correction of a tail for j <= EM_ORDER, and at j = EM_ORDER + 1 the first
-# omitted term, which bounds the remainder.
+# B_2, B_4, ..., B_12, exact.  B_{2j} weighs the j-th correction of
+# Stirling's series for ln Gamma and for psi for j <= EM_ORDER, and at
+# j = EM_ORDER + 1 the first omitted term, which bounds the remainder.
 _BERNOULLI = tuple(map(Fraction, ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730")))
 
 
@@ -124,49 +124,71 @@ def _em_table(divisor) -> tuple[tuple[float, ...], float]:
     return tuple(weights[:-1]), abs(weights[-1])
 
 
-# B_{2j}/((2j)(2j-1)), the weights of d^{2j-1}/dx^{2j-1} log(x+c) = (2j-2)! (x+c)^{1-2j}
-_LOG_EM_WEIGHTS, _LOG_EM_REMAINDER = _em_table(lambda m: m * (m - 1))
+# B_{2j}/((2j)(2j-1)), the weights of z^(1-2j) in Stirling's series for ln Gamma(z)
+_LN_GAMMA_WEIGHTS, _LN_GAMMA_REMAINDER = _em_table(lambda m: m * (m - 1))
+# B_{2j}/(2j), the weights of z^(-2j) in Stirling's series for psi(z)
+_DIGAMMA_WEIGHTS, _DIGAMMA_REMAINDER = _em_table(lambda m: m)
 
 
-def rounding_allowance(scale: float) -> float:
-    """A bound on the rounding error of a tail whose pieces add up to ``scale`` in size."""
-    return _ROUNDING_ULPS * EPS * scale
+def ln_gamma_difference(x: float, h: float) -> tuple[float, float]:
+    """ln Gamma(x+h) - ln Gamma(x) for x > 0 and x + h > 0, as (value, bound).
 
-
-def log_pair_tail(x0: float, pairs) -> tuple[float, float]:
-    """Certified sum over k >= x0 of sum over (u, v, d) in pairs of log((k+u)/(k+v)).
-
-    d is u - v, passed as computed from the series' own formula rather
-    than by subtraction; the d must add up to exactly zero, which makes the
-    sum converge.  Every x0 + u and x0 + v must be positive.  Euler-Maclaurin
-    summation (DLMF 2.10) with EM_ORDER Bernoulli corrections gives the
-    value; each log(x+c) has derivatives of alternating sign, so the
-    remainder is bounded by the first omitted term.  Returns (value, bound),
-    the bound including the rounding of the evaluation.
+    Stirling's series (DLMF 5.11.1) with EM_ORDER corrections, in difference
+    form: (x - 1/2) log1p(h/x) + h (log(x+h) - 1) + S(x+h) - S(x), where
+    S(z) = sum_j B_{2j}/((2j)(2j-1)) z^(1-2j).  Each remainder has the sign
+    of, and is at most, the first omitted term (DLMF 5.11(ii)), so the two
+    differ by at most that term at the smaller argument; the bound adds
+    the rounding.
     """
-    value = 0.0
-    scale = 0.0
-    remainder = 0.0
-    for u, v, d in pairs:
-        xu = x0 + u
-        xv = x0 + v
-        # integral over [x0, inf) plus half the first term; the d*log
-        # pieces' divergent parts cancel because the d add up to zero
-        main = -(xu - 0.5) * math.log1p(d / xv)
-        drift = -d * math.log(xv)
-        value += main + drift
-        scale += abs(main) + abs(drift)
-        wu = 1.0 / xu
-        wv = 1.0 / xv
-        wu2 = wu * wu
-        wv2 = wv * wv
-        for weight in _LOG_EM_WEIGHTS:
-            value -= weight * (wu - wv)
-            scale += abs(weight) * (wu + wv)
-            wu *= wu2
-            wv *= wv2
-        remainder += _LOG_EM_REMAINDER * (wu + wv)
-    return value, remainder + rounding_allowance(scale)
+    y = x + h
+    ix = 1.0 / x
+    iy = 1.0 / y
+    ix2 = ix * ix
+    iy2 = iy * iy
+    sx = sy = 0.0
+    for weight in reversed(_LN_GAMMA_WEIGHTS):
+        sx = sx * ix2 + weight
+        sy = sy * iy2 + weight
+    sx *= ix
+    sy *= iy
+    main = (x - 0.5) * math.log1p(h / x)
+    log_y = math.log(y)
+    scale = abs(main) + abs(h) * (abs(log_y) + 1.0) + abs(sx) + abs(sy)
+    remainder = _LN_GAMMA_REMAINDER * (ix if ix > iy else iy) ** (2 * EM_ORDER + 1)
+    # the largest piece, h log(x+h), is added last
+    return h * log_y + ((main - h) + (sy - sx)), remainder + _ROUNDING_ULPS * EPS * scale
+
+
+def digamma_divided_difference(x: float, h: float) -> tuple[float, float]:
+    """(psi(x+h) - psi(x))/h for x > 0 and x + h > 0, psi'(x) at h = 0, as (value, bound).
+
+    That is sum_{k>=0} 1/((x+k)(x+h+k)), whose summand is completely
+    monotone, so Euler-Maclaurin summation (DLMF 2.10) leaves at most the
+    first omitted term.  With c_m = (x^-m - (x+h)^-m)/h, a sum of positive
+    terms x^(i-m) (x+h)^(-i-1) over i < m however small h, it reads, as
+    psi's Stirling series (DLMF 5.11.2) does, log1p(h/x)/h + c_1/2 +
+    sum_j B_{2j}/(2j) c_{2j}, the first omitted term in c_{2 EM_ORDER + 2}.
+    The bound adds the rounding.
+    """
+    y = x + h
+    ix = 1.0 / x
+    iy = 1.0 / y
+    u = h / x
+    integral = math.log1p(u) / h if u else ix
+    c = ix * iy
+    value = scale = integral + 0.5 * c
+    power = iy
+    for weight in _DIGAMMA_WEIGHTS:
+        # c_{m+1} = (c_m + y^-(m+1))/x, from c_{2j-1} to c_{2j}, then c_{2j+1}
+        power *= iy
+        c = ix * (c + power)
+        piece = weight * c
+        value += piece
+        scale += abs(piece)
+        power *= iy
+        c = ix * (c + power)
+    c = ix * (c + power * iy)
+    return value, _DIGAMMA_REMAINDER * c + _ROUNDING_ULPS * EPS * scale
 
 
 def run_truncated_log_sum(chunk, tail) -> _LogSum:
@@ -218,18 +240,18 @@ def run_truncated_log_sum(chunk, tail) -> _LogSum:
 def gamma_ratio_product(x: float, a: float) -> ProductResult:
     """Truncated product evaluation of Gamma(1-a)*Gamma(x+a)/Gamma(x).
 
-    Requires x > 0, a < 1, and x+a not a nonpositive integer (a factor
-    denominator vanishes there).  The value is negative exactly when an odd
-    number of early factors is negative (possible for x+a < 0).  a = 0
+    Requires finite x > 0 and a < 1, and x+a not a nonpositive integer (a
+    factor denominator vanishes there).  The value is negative exactly when
+    an odd number of early factors is negative (possible for x+a < 0).  a = 0
     short-circuits to exactly 1: every factor is identically one and a
     product of rounded ones would only accumulate noise.
     """
     x = float(x)
     a = float(a)
-    if not x > 0.0:
-        raise ValueError(f"gamma_ratio_product requires x > 0, got {x}")
-    if not a < 1.0:
-        raise ValueError(f"gamma_ratio_product requires a < 1, got {a}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"gamma_ratio_product requires a finite x > 0, got {x}")
+    if not -math.inf < a < 1.0:
+        raise ValueError(f"gamma_ratio_product requires a finite a < 1, got {a}")
     s = x + a
     if s <= 0.0 and s == math.floor(s):
         raise ValueError(f"x + a = {s} is a nonpositive integer (gamma pole)")
@@ -239,16 +261,16 @@ def gamma_ratio_product(x: float, a: float) -> ProductResult:
     # Factor k is negative exactly while k + x + a - 1 < 0.
     mixed = max(0, math.floor(1.0 - x - a))
 
-    # log factor k = log(k/(k-a)) + log((k+x-1)/(k+x+a-1)); the tail's
-    # arguments must stay >= 1, so the head covers k <= 1 - x - a at least.
-    pairs = ((0.0, -a, a), (x - 1.0, x + a - 1.0, -a))
+    # the tail's arguments must stay >= 1, so the head covers k <= 1 - x - a at least
     lowest = min(-a, x - 1.0, x + a - 1.0)
 
     def tail(k: int):
         x0 = k + 1.0
         if x0 + lowest < 1.0:
             return 0.0, math.inf
-        return log_pair_tail(x0, pairs)
+        upper, upper_bound = ln_gamma_difference(x0 + x - 1.0, a)
+        lower, lower_bound = ln_gamma_difference(x0 - a, a)
+        return upper - lower, upper_bound + lower_bound
 
     out = run_truncated_log_sum(functools.partial(gamma_ratio_log, x, a), tail)
     sign = -1.0 if mixed % 2 else 1.0

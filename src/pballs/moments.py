@@ -13,13 +13,14 @@ and y in B_q^n (q the Hoelder conjugate).  Routes implemented here:
   product telescopes to exact closed forms at t = 0 and t = 1/4.  In
   between, g_k(m,t) = (k + ma)(k + mb) with a = 2t/(1 + sqrt(1-4t)) and
   b = 1 - a, so each log factor is a sum of differences of logs of linear
-  terms, and the tail beyond a short head is summed in closed form with a
-  certified Euler-Maclaurin remainder, under the driver's fixed limits
-  MAX_TERMS and REL_TOL (:mod:`pballs.gamma_core`).
+  terms, and the tail beyond a short head is a signed sum of ln Gamma
+  differences, summed within the fixed limits MAX_TERMS and REL_TOL.
 
 The sign of df/dt is decided by the series of per-factor log derivatives
-(``derivative_sign_series``), and the per-term polynomial inequality that
-the termwise argument rests on is checked verbatim (``per_term_minimum``).
+(``derivative_sign_series``), whose tail is the same sum for psi; both tails
+call the certified Stirling differences of :mod:`pballs.gamma_core`.  The
+per-term polynomial inequality that the termwise argument rests on is
+checked verbatim (``per_term_minimum``).
 The paper's claims are judged here and only here, each on the routes'
 results and their certified bounds rather than on a fixed tolerance:
 ``kuperberg_verdict`` holds f to the conjectured ceiling n/(n+2)^2,
@@ -42,13 +43,11 @@ from dataclasses import dataclass
 
 from ._kernels import ineq3_min, moment_product_log, sign_series_sum
 from .gamma_core import (
-    EM_ORDER,
     EPS,
     ProductResult,
-    _em_table,
+    digamma_divided_difference,
     ln_gamma,
-    log_pair_tail,
-    rounding_allowance,
+    ln_gamma_difference,
     run_truncated_log_sum,
 )
 from .pball import Exponent, _moment_log_terms, _whole, as_exponent, check_dimension
@@ -78,10 +77,6 @@ MC_STD_ERRORS = 3.0
 # The closed form adds ln n and eight ln Gamma values and exponentiates: its
 # relative error is a few ulp of the sum of those terms' sizes.
 GAMMA_ROUNDING_ULPS = 16.0
-
-# B_{2j}/(2j), the Euler-Maclaurin weights of G^{(2j-1)}/(2j-1)! in the
-# derivative-sign tail.
-_SIGN_EM_WEIGHTS, _SIGN_EM_REMAINDER = _em_table(lambda m: m)
 
 
 class Sign(enum.Enum):
@@ -192,9 +187,11 @@ def gk_ratio_product(n, tau: float) -> ProductResult:
     """P(tau) = prod_k g_k(1,tau)g_k(n+2,tau)/(g_k(3,tau)g_k(n,tau)).
 
     Defined for tau in [0, 1/4], where the quadratics have real roots.  The
-    head is summed term by term and the tail in closed form, also at the
-    ends, where it telescopes to P(0) = 6/((n+1)(n+2)) and P(1/4) = 9/(n+2)^2
-    (f_product returns those exactly); tail_bound bounds |log(true/value)|.
+    head is summed term by term and the tail over k >= x0 as the sum over
+    r in {a, b} of D(x0+r, 2r) - D(x0+nr, 2r), D the ln Gamma difference and
+    g_k(1, tau) = (k+a)(k+b), exactly 0 at n = 1; also at the ends, where it
+    telescopes to P(0) = 6/((n+1)(n+2)) and P(1/4) = 9/(n+2)^2 (f_product
+    returns those exactly); tail_bound bounds |log(true/value)|.
     """
     n = check_dimension(n)
     tau = float(tau)
@@ -202,18 +199,18 @@ def gk_ratio_product(n, tau: float) -> ProductResult:
         raise ValueError(f"tau must lie in [0, 1/4], got {tau}")
 
     _, a, b = _roots(tau)
-    # log g_k(1)/g_k(3) and log g_k(n+2)/g_k(n), each root by root
-    pairs = (
-        (a, 3.0 * a, -2.0 * a),
-        (b, 3.0 * b, -2.0 * b),
-        ((n + 2) * a, n * a, 2.0 * a),
-        ((n + 2) * b, n * b, 2.0 * b),
-    )
 
     def tail(k: int):
         if n == 1:
             return 0.0, 0.0  # {1, 3} = {n, n+2}: every factor is exactly 1
-        return log_pair_tail(k + 1.0, pairs)
+        x0 = k + 1.0
+        value = bound = 0.0
+        for r in (a, b):
+            low, low_bound = ln_gamma_difference(x0 + r, 2.0 * r)
+            high, high_bound = ln_gamma_difference(x0 + n * r, 2.0 * r)
+            value += low - high
+            bound += low_bound + high_bound
+        return value, bound
 
     out = run_truncated_log_sum(functools.partial(moment_product_log, float(n), tau), tail)
     return ProductResult(math.exp(out.total), out.tail_bound, out.terms, out.stop)
@@ -224,9 +221,9 @@ def f_product(n, p) -> MomentResult:
 
     At t = 0 and t = 1/4 the telescoped closed forms are returned exactly
     (error_estimate 0).  Otherwise f = (n/9) * gk_ratio_product(n, t), and
-    error_estimate is an absolute bound from the certified Euler-Maclaurin
-    remainder plus rounding; converged=False flags a bound still above
-    REL_TOL at the term budget.
+    error_estimate is an absolute bound from the certified Stirling
+    remainder of the tail plus rounding; converged=False flags a bound
+    still above REL_TOL at the term budget.
     """
     n = check_dimension(n)
     e = as_exponent(p)
@@ -240,36 +237,6 @@ def f_product(n, p) -> MomentResult:
     return MomentResult(value, error, n, e, out.converged, out.terms_used)
 
 
-def _sign_tail_piece(m: float, s: float, a: float, b: float, x0: float):
-    """Euler-Maclaurin sum over k >= x0 of G_m(k) = m^2/((k+ma)(k+mb)).
-
-    Returns (value, remainder bound, size of the pieces).  G_m is completely
-    monotone, so the first omitted term bounds the remainder; its
-    derivatives are G^(r)(x) = (-1)^r r! m^2 sum_{i=0..r} (x+ma)^(-i-1) (x+mb)^(i-r-1).
-    """
-    xa = x0 + m * a
-    xb = x0 + m * b
-    u = m * s / xa
-    # integral over [x0, inf): m/s * log1p(u), with log1p(u)/u -> 1 at s = 0
-    integral = m * m / xa * (math.log1p(u) / u if u else 1.0)
-    # h_r = sum_{i=0..r} xa^-i xb^(i-r), so that G^(r) = (-1)^r r! m^2 h_r/(xa xb)
-    pa = 1.0 / xa
-    pb = 1.0 / xb
-    unit = m * m * pa * pb
-    value = integral + 0.5 * unit
-    scale = abs(integral) + 0.5 * unit
-    h = [1.0]
-    pb_r = 1.0
-    for _ in range(2 * EM_ORDER + 1):
-        pb_r *= pb
-        h.append(pa * h[-1] + pb_r)
-    for j, weight in enumerate(_SIGN_EM_WEIGHTS):
-        piece = weight * unit * h[2 * j + 1]
-        value += piece
-        scale += abs(piece)
-    return value, _SIGN_EM_REMAINDER * unit * h[2 * EM_ORDER + 1], scale
-
-
 def derivative_sign_series(n, t: float) -> SignReport:
     """Sign of df/dt from the series of per-factor log derivatives.
 
@@ -277,10 +244,11 @@ def derivative_sign_series(n, t: float) -> SignReport:
     (as produced by differentiating each log factor in t).  The series is
     identically zero for n = 1 since {1, 3} = {n, n+2} there; for n >= 2
     the sum is positive on (0, 1/4] even though individual terms need not
-    be (all_terms_positive reports what was actually observed).  The tail
-    beyond the head is the Euler-Maclaurin sum of m^2/((k+ma)(k+mb)), with
-    g_k(m,t) = (k+ma)(k+mb); tail_bound bounds the absolute error of
-    series_value, and the sign is ZERO when the value lies within it.
+    be (all_terms_positive reports what was actually observed).  With
+    g_k(m,t) = (k+ma)(k+mb), the tail over k >= x0 is m^2 (psi(x0+mb) -
+    psi(x0+ma))/(mb - ma), added for m in {1, n+2} and taken for m in {3, n};
+    tail_bound bounds the absolute error of series_value, and the sign is
+    ZERO when the value lies within it.
     """
     n = check_dimension(n)
     t = float(t)
@@ -295,15 +263,16 @@ def derivative_sign_series(n, t: float) -> SignReport:
         min_term = min(min_term, mn)
         return total, abs_total
 
-    s, a, b = _roots(t)
+    s, a, _ = _roots(t)
 
     def tail(k: int):
         x0 = k + 1.0
-        pieces = [_sign_tail_piece(float(m), s, a, b, x0) for m in (1, n, n + 2, 3)]
-        (v1, r1, s1), (vn, rn, sn), (vm, rm, sm), (v3, r3, s3) = pieces
-        # grouped so that the two differences vanish exactly at n = 1
-        value = (v1 - vn) + (vm - v3)
-        return value, r1 + rn + rm + r3 + rounding_allowance(s1 + sn + sm + s3)
+        (v1, e1), (vn, en), (vm, em), (v3, e3) = [
+            digamma_divided_difference(x0 + m * a, m * s) for m in (1.0, float(n), n + 2.0, 3.0)
+        ]
+        # weighted by m^2 and grouped so that the two differences vanish exactly at n = 1
+        value = (v1 - n * n * vn) + ((n + 2) ** 2 * vm - 9.0 * v3)
+        return value, e1 + n * n * en + (n + 2) ** 2 * em + 9.0 * e3
 
     out = run_truncated_log_sum(chunk, tail)
     if abs(out.total) <= out.tail_bound:
@@ -324,8 +293,8 @@ def per_term_minimum(n, t: float, k_max: int):
     n = check_dimension(n)
     if n < 2:
         raise ValueError("per-term positivity is stated for n >= 2")
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     k_max = _whole(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -394,8 +363,8 @@ def remark_limit_check(n, q_large: float) -> float:
     """
     n = check_dimension(n)
     q_large = float(q_large)
-    if not q_large >= 1e3:
-        raise ValueError(f"q_large must be >= 1e3, got {q_large}")
+    if not 1e3 <= q_large < math.inf:
+        raise ValueError(f"q_large must be finite and >= 1e3, got {q_large}")
     return math.exp(
         ln_gamma(3.0 / q_large)
         + ln_gamma(1.0 + n / q_large)

@@ -116,14 +116,17 @@ class TestTruncationDriver:
 
     def test_euler_maclaurin_tables_are_the_bernoulli_weights(self):
         # derived from the exact B_2..B_12, bit for bit the hand-typed weights
-        # B_{2j}/((2j)(2j-1)) and B_{2j}/(2j) with their remainder weights
+        # B_{2j}/((2j)(2j-1)) and B_{2j}/(2j) with their remainder weights;
+        # the order, both tables and the rounding allowance live in
+        # gamma_core alone
         from pballs import gamma_core, moments
 
         assert EM_ORDER == 5
-        assert gamma_core._LOG_EM_WEIGHTS == (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
-        assert gamma_core._LOG_EM_REMAINDER == 691.0 / 360360.0
-        assert moments._SIGN_EM_WEIGHTS == (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
-        assert moments._SIGN_EM_REMAINDER == 691.0 / 32760.0
+        assert gamma_core._LN_GAMMA_WEIGHTS == (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+        assert gamma_core._LN_GAMMA_REMAINDER == 691.0 / 360360.0
+        assert gamma_core._DIGAMMA_WEIGHTS == (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
+        assert gamma_core._DIGAMMA_REMAINDER == 691.0 / 32760.0
+        assert not {"EM_ORDER", "_em_table", "rounding_allowance"} & set(vars(moments))
 
     def test_wrong_tail_fails_the_doubling_check(self):
         # claiming a zero tail is refuted by the terms between N and 2N
@@ -167,7 +170,10 @@ class TestGammaRatioProduct:
         assert abs(math.log(-out.value) - ref_log) <= out.tail_bound + 1e-12
         assert out.converged == (out.stop == "tolerance")
 
-    @pytest.mark.parametrize("x,a", [(0.0, 0.5), (-1.0, 0.5), (1.0, 1.0), (1.0, 2.0), (0.5, -0.5), (1.0, -1.0)])
+    @pytest.mark.parametrize(
+        "x,a",
+        [(0.0, 0.5), (-1.0, 0.5), (1.0, 1.0), (1.0, 2.0), (0.5, -0.5), (1.0, -1.0), (math.inf, 0.5), (1.0, -math.inf)],
+    )
     def test_domain_errors(self, x, a):
         with pytest.raises(ValueError):
             gamma_ratio_product(x, a)

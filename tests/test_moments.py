@@ -165,7 +165,7 @@ class TestPerTermPositivity:
         mn, _ = per_term_minimum(n, t, k)
         assert mn > 0.0
 
-    @pytest.mark.parametrize("k,n,t", [(0, 2, 0.1), (1, 1, 0.1), (1, 2, 0.0), (1.5, 2, 0.1)])
+    @pytest.mark.parametrize("k,n,t", [(0, 2, 0.1), (1, 1, 0.1), (1, 2, 0.0), (1.5, 2, 0.1), (10, 3, math.inf)])
     def test_validation(self, k, n, t):
         with pytest.raises(ValueError):
             per_term_minimum(n, t, k)
@@ -404,3 +404,5 @@ class TestRemarkLimit:
     def test_q_validation(self):
         with pytest.raises(ValueError):
             remark_limit_check(3, 100.0)
+        with pytest.raises(ValueError, match="finite"):
+            remark_limit_check(3, math.inf)

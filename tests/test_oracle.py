@@ -5,20 +5,24 @@ tests hold the result, its certified bound and its term count against the
 loggamma closed form over the whole documented domain, 1 <= n <= 10^6 and
 p in [1, inf], with the draws biased toward the awkward corners.  The
 same draws hold the endpoint values to their exact closed form and the
-CLI's exit status to the verdicts it prints.
+CLI's exit status to the verdicts it prints.  The two Stirling differences
+every tail is made of are held to mpmath on their own, and a perturbed
+difference must fail the checks of the series built on it.
 """
 
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pballs import moments
 from pballs.cli import CSV_HEADER, main
-from pballs.gamma_core import gamma_ratio_product
+from pballs.gamma_core import digamma_divided_difference, gamma_ratio_product, ln_gamma_difference
 from pballs.moments import Sign, derivative_sign_series, f_endpoint, f_gamma, f_product, kuperberg_verdict, routes_agree
 from pballs.pball import Exponent
 
@@ -62,13 +66,16 @@ exponents = st.one_of(
 )
 
 
+def product_within_bound(fp, ref) -> bool:
+    """Whether a product result lies within its error_estimate of the reference, plus 16 ulp."""
+    return float(abs(mpmath.mpf(fp.value) - ref)) <= fp.error_estimate + 16.0 * EPS * float(ref)
+
+
 @given(dimensions, exponents)
 @settings(max_examples=300, deadline=None)
 def test_f_product_against_loggamma_reference(n, p):
     fp = f_product(n, p)
-    ref = f_reference(n, p)
-    dev = float(abs(mpmath.mpf(fp.value) - ref))
-    assert dev <= fp.error_estimate + 16.0 * EPS * float(ref)
+    assert product_within_bound(fp, f_reference(n, p))
     assert fp.converged
     assert fp.terms_used <= 256
 
@@ -87,6 +94,21 @@ endpoint_exponents = st.one_of(
     st.floats(min_value=1.0, max_value=1.0 + 1e-12, exclude_max=True),
     st.just(math.inf),
 )
+
+
+@given(dimensions, st.floats(min_value=1.0 + 1e-12, max_value=1.0 + 4e-12, exclude_min=True))
+@settings(max_examples=200, deadline=None)
+def test_routes_continuous_across_the_snap_width(n, p):
+    # just above the snap both routes stay within t * 2 H_{n+2} of the
+    # endpoint value in log, plus their own error: d ln f/dt at t = 0 is
+    # S(n, 0) = 1 + (n+2) H_{n+2} - 3 H_3 - n H_n < 2 H_{n+2} - 2.5
+    t = Exponent(p).t
+    slope = 2.0 * float(mpmath.harmonic(n + 2))
+    with mpmath.workdps(DIGITS):
+        endpoint = mpmath.mpf(2 * n) / (3 * (n + 1) * (n + 2))
+        for r in (f_gamma(n, p), f_product(n, p)):
+            jump = float(abs(mpmath.log(mpmath.mpf(r.value) / endpoint)))
+            assert jump <= t * slope + r.error_estimate / r.value
 
 
 @given(dimensions, endpoint_exponents)
@@ -186,11 +208,15 @@ def sign_series_reference(n: int, t: float):
         return part(1) + part(n + 2) - part(3) - part(n)
 
 
+def series_within_bound(report, ref) -> bool:
+    """Whether a sign-series value lies within its tail_bound of the reference."""
+    return float(abs(mpmath.mpf(report.series_value) - ref)) <= report.tail_bound
+
+
 @pytest.mark.parametrize("n,t", [(2, 0.25), (3, 0.25), (20, 0.25), (1000, 0.25), (5, 0.1), (2, 1e-9)])
 def test_derivative_sign_series_spot_cells(n, t):
     report = derivative_sign_series(n, t)
-    ref = sign_series_reference(n, t)
-    assert float(abs(mpmath.mpf(report.series_value) - ref)) <= report.tail_bound
+    assert series_within_bound(report, sign_series_reference(n, t))
     assert report.sign is Sign.POSITIVE
     assert report.terms_used <= 256
 
@@ -200,3 +226,61 @@ def test_derivative_sign_series_exact_zero_at_n1(t):
     report = derivative_sign_series(1, t)
     assert report.series_value == 0.0
     assert report.sign is Sign.ZERO
+
+
+# x in [1, 1e7] and h in +-[1e-12, 1e6] with x + h >= 1, biased toward
+# small x, where the Stirling remainder is largest
+stirling_x = st.one_of(st.floats(min_value=1.0, max_value=1e7), st.floats(min_value=1.0, max_value=10.0))
+stirling_h = st.builds(
+    lambda size, negative: -size if negative else size,
+    st.one_of(st.floats(min_value=1e-12, max_value=1e6), st.floats(min_value=1e-12, max_value=1e-3)),
+    st.booleans(),
+)
+
+
+@given(stirling_x, stirling_h)
+@settings(max_examples=500, deadline=None)
+def test_ln_gamma_difference_against_mpmath(x, h):
+    assume(Fraction(x) + Fraction(h) >= 1)
+    value, bound = ln_gamma_difference(x, h)
+    with mpmath.workdps(DIGITS):
+        xx = mpmath.mpf(x)
+        ref = mpmath.loggamma(xx + mpmath.mpf(h)) - mpmath.loggamma(xx)
+        assert abs(value - ref) <= bound
+
+
+@given(stirling_x, st.one_of(stirling_h, st.just(0.0)))
+@settings(max_examples=500, deadline=None)
+def test_digamma_divided_difference_against_mpmath(x, h):
+    assume(Fraction(x) + Fraction(h) >= 1)
+    value, bound = digamma_divided_difference(x, h)
+    with mpmath.workdps(DIGITS):
+        xx, hh = mpmath.mpf(x), mpmath.mpf(h)
+        ref = mpmath.psi(1, xx) if h == 0.0 else (mpmath.digamma(xx + hh) - mpmath.digamma(xx)) / hh
+        assert abs(value - ref) <= bound
+
+
+def _inflated(difference):
+    """The same Stirling difference with 1e-12 of its own size added to each value."""
+
+    def perturbed(x, h):
+        value, bound = difference(x, h)
+        return value + 1e-12 * abs(value), bound
+
+    return perturbed
+
+
+@pytest.mark.parametrize("n,p", [(1000, 1.5), (10**6, 1.25)])
+def test_product_check_catches_a_perturbed_ln_gamma_difference(monkeypatch, n, p):
+    # the tail shares D with nothing the reference uses: a 1e-12 relative
+    # error in it must take f_product outside its certified bound
+    assert product_within_bound(f_product(n, p), f_reference(n, p))
+    monkeypatch.setattr(moments, "ln_gamma_difference", _inflated(ln_gamma_difference))
+    assert not product_within_bound(f_product(n, p), f_reference(n, p))
+
+
+@pytest.mark.parametrize("n,t", [(5, 0.1), (2, 0.25)])
+def test_series_check_catches_a_perturbed_digamma_difference(monkeypatch, n, t):
+    assert series_within_bound(derivative_sign_series(n, t), sign_series_reference(n, t))
+    monkeypatch.setattr(moments, "digamma_divided_difference", _inflated(digamma_divided_difference))
+    assert not series_within_bound(derivative_sign_series(n, t), sign_series_reference(n, t))
