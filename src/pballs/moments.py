@@ -160,7 +160,9 @@ def f_gamma(n, p) -> MomentResult:
     a, b = _moment_log_terms(n, e.p), _moment_log_terms(n, e.q)
     log_f = ln_n + a[0] + b[0] + a[1] + b[1] + a[2] + b[2] + a[3] + b[3]
     value = math.exp(log_f)
-    scale = 2.0 + abs(ln_n) + sum(abs(v) for pair in zip(a, b) for v in pair)
+    scale = 2.0 + abs(ln_n) + (
+        abs(a[0]) + abs(b[0]) + abs(a[1]) + abs(b[1]) + abs(a[2]) + abs(b[2]) + abs(a[3]) + abs(b[3])
+    )
     error = GAMMA_ROUNDING_ULPS * EPS * scale * value
     return MomentResult(value, error, n, e)
 
@@ -257,11 +259,11 @@ def derivative_sign_series(n, t: float) -> SignReport:
 
     min_term = math.inf
 
-    def chunk(k_lo: int, k_hi: int):
+    def terms(k_lo: int, k_hi: int):
         nonlocal min_term
-        total, abs_total, mn = sign_series_sum(float(n), t, k_lo, k_hi)
-        min_term = min(min_term, mn)
-        return total, abs_total
+        out = sign_series_sum(float(n), t, k_lo, k_hi)
+        min_term = min(min_term, float(out.min()))
+        return out
 
     s, a, _ = _roots(t)
 
@@ -274,7 +276,7 @@ def derivative_sign_series(n, t: float) -> SignReport:
         value = (v1 - n * n * vn) + ((n + 2) ** 2 * vm - 9.0 * v3)
         return value, e1 + n * n * en + (n + 2) ** 2 * em + 9.0 * e3
 
-    out = run_truncated_log_sum(chunk, tail)
+    out = run_truncated_log_sum(terms, tail)
     if abs(out.total) <= out.tail_bound:
         sign = Sign.ZERO
     elif out.total > 0.0:

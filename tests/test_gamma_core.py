@@ -86,8 +86,7 @@ class TestSignedLnGamma:
 def _telescoping_chunk(k_lo, k_hi):
     # 1/(k(k+1)) = 1/k - 1/(k+1): the sum over k > N is exactly 1/(N+1)
     k = np.arange(k_lo, k_hi + 1, dtype=float)
-    partial = float(np.sum(1.0 / (k * (k + 1.0))))
-    return partial, partial
+    return 1.0 / (k * (k + 1.0))
 
 
 class TestTruncationDriver:
@@ -113,6 +112,50 @@ class TestTruncationDriver:
         assert out.terms == MAX_TERMS
         assert math.isinf(out.tail_bound)
         assert abs(out.total - 1.0) <= 2.0 / MAX_TERMS
+
+    @pytest.mark.parametrize("stop", ["tolerance", "budget", "doubling-failed"])
+    def test_each_term_is_evaluated_once(self, stop):
+        # the driver reads one doubling step ahead: the ranges it asks for
+        # are disjoint and contiguous, and cover exactly the terms it counts
+        tail = {
+            "tolerance": lambda n: (1.0 / (n + 1.0), 0.0),
+            "budget": lambda n: (0.0, math.inf),
+            "doubling-failed": lambda n: (0.0, 0.0),
+        }[stop]
+        asked = []
+
+        def recording(k_lo, k_hi):
+            asked.append((k_lo, k_hi))
+            return _telescoping_chunk(k_lo, k_hi)
+
+        out = run_truncated_log_sum(recording, tail)
+        assert out.stop == stop
+        assert asked[0][0] == 1 and asked[-1][1] == out.terms
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(asked, asked[1:]))
+        assert all(lo <= hi for lo, hi in asked)
+        if stop == "tolerance":
+            assert asked == [(1, 2 * FIRST_HEAD)]
+        elif stop == "budget":
+            assert out.terms == MAX_TERMS
+
+    def test_leftover_terms_are_joined_to_the_doubling_check(self, monkeypatch):
+        # from an even power of two the head reaches 2**18 with the terms up
+        # to the budget in hand; the doubling check at 2**19 asks only for
+        # the rest and joins them on
+        from pballs import gamma_core
+
+        monkeypatch.setattr(gamma_core, "FIRST_HEAD", 64)
+        asked = []
+
+        def recording(k_lo, k_hi):
+            asked.append((k_lo, k_hi))
+            return _telescoping_chunk(k_lo, k_hi)
+
+        out = run_truncated_log_sum(recording, lambda n: (1.0 / (n + 1.0), 0.0 if n >= 2**18 else math.inf))
+        assert out.stop == "tolerance" and out.terms == 2**19
+        assert asked[-2:] == [(2**17 + 1, MAX_TERMS // 2), (MAX_TERMS // 2 + 1, 2**19)]
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(asked, asked[1:]))
+        assert abs(out.total - 1.0) <= out.tail_bound <= REL_TOL
 
     def test_euler_maclaurin_tables_are_the_bernoulli_weights(self):
         # derived from the exact B_2..B_12, bit for bit the hand-typed weights
