@@ -105,14 +105,18 @@ def _parse_n_list(text: str) -> list[int]:
     for tok in text.split(","):
         if tok == "":
             continue
-        if ".." in tok:
+        try:
+            ends = [int(end) for end in tok.split("..", 1)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad dimension {tok!r}: expected an integer or a range a..b")
+        if len(ends) == 2:
             # validated before range() so a huge range fails at once
-            lo, hi = (check_dimension(int(end)) for end in tok.split("..", 1))
+            lo, hi = (check_dimension(end) for end in ends)
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {tok!r}")
             out.extend(range(lo, hi + 1))
         else:
-            out.append(int(tok))
+            out += ends
     if not out:
         raise argparse.ArgumentTypeError(f"no dimensions in {text!r}")
     return out

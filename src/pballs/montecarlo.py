@@ -24,8 +24,9 @@ Each stream draws its rows in chunks of max(1, _CHUNK_ELEMENTS // n) rows,
 at most _CHUNK_ELEMENTS coordinates per sample_ball call; the cap is part
 of the draw order.  Each worker draws every chunk into one buffer of one
 chunk that the caller allocates, so memory is about workers x one chunk at
-any n and sample count.  The estimators and the sampler checks of verify
-all draw through this reducer.
+any n and sample count.  The reducer is the only caller of sample_ball in
+the package: the estimators and the sampler checks of verify give it the
+exponents to draw and the statistics to reduce, and it draws every point.
 """
 
 from __future__ import annotations
@@ -148,15 +149,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _stream_means(n: int, config: MCConfig, key: tuple, draw, statistics, sides: int = 1) -> tuple[MCEstimate, ...]:
+def _stream_means(n: int, config: MCConfig, key: tuple, exponents: tuple, statistics) -> tuple[MCEstimate, ...]:
     """Mean and standard error of each statistic over substreams keyed (*key, i).
 
-    draw(rng, out) draws a chunk into out, a tuple of `sides` float64
-    (rows, n) arrays, and returns the points; statistics(points) returns a
-    tuple of 1-D arrays, one value per row each, and one MCEstimate is
-    returned per entry.  Each substream draws its share in chunks of at most
-    _CHUNK_ELEMENTS // n rows and keeps each chunk's (sum, sum of squares)
-    per statistic.
+    The reducer draws every point itself.  Each substream draws its share
+    in chunks of at most _CHUNK_ELEMENTS // n rows.  For a chunk it calls
+    sample_ball(n, e, rng, size=rows, out=buffer) for each exponent e in
+    order, from the stream's rng, then statistics(*points) with one point
+    array per exponent.  statistics returns a tuple of 1-D arrays, one
+    value per row each, and one MCEstimate is returned per entry, from each
+    chunk's (sum, sum of squares).
 
     The substreams run on min(config.streams, usable CPUs) workers, one per
     thread, the calling thread among them; a call under _PARALLEL_ELEMENTS
@@ -168,19 +170,19 @@ def _stream_means(n: int, config: MCConfig, key: tuple, draw, statistics, sides:
     An exception in any worker stops the hand-out of streams and re-raises
     here after every worker has stopped; no thread outlives the call.
 
-    Memory is workers x one chunk.  The caller allocates each worker's
-    `sides` buffers of one chunk before any worker starts, and the worker
-    draws every chunk into them, overwriting the last: a chunk's points
-    are valid until statistics returns.  Arrays that the short-lived helper
-    threads allocated for themselves would come from their own malloc
-    arenas, whose slack made peak RSS vary from 52 to 60 MB over replays of
-    the benchmark's mc loop (glibc, 2 CPUs); with caller buffers it stays
-    within 51-53 MB.
+    Memory is workers x one chunk.  The calling thread allocates each
+    worker's buffers, one chunk per exponent, before any worker starts, and
+    the worker draws every chunk into them, overwriting the last: a chunk's
+    points are valid until statistics returns.  Arrays that the short-lived
+    helper threads allocated for themselves would come from their own
+    malloc arenas, whose slack made peak RSS vary from 52 to 60 MB over
+    replays of the benchmark's mc loop (glibc, 2 CPUs); with caller buffers
+    it stays within 51-53 MB.
 
-    draw and statistics may run on several threads at once: they must not
-    mutate state they share (appending to a list is atomic).  Draws call
-    sample_ball by its module-global name, so a rebound name (a tracing
-    wrapper, say) is the one that runs, on every worker.
+    statistics may run on several threads at once: it must not mutate state
+    it shares (appending to a list is atomic).  sample_ball is called by its
+    module-global name, with (n, e, rng) positional, so a rebound name (a
+    tracing wrapper, say) is the one that runs, on every worker.
     """
     per_stream = config.samples // config.streams
     rows = min(max(1, _CHUNK_ELEMENTS // n), per_stream)
@@ -195,16 +197,14 @@ def _stream_means(n: int, config: MCConfig, key: tuple, draw, statistics, sides:
                 rng = _stream_rng(config.seed, (*key, stream))
                 for done in range(0, per_stream, rows):
                     m = min(rows, per_stream - done)
-                    chunk_sums[stream].append([
-                        (float(v.sum()), float((v * v).sum()))
-                        for v in statistics(draw(rng, tuple(b[:m] for b in buffers)))
-                    ])
+                    points = (sample_ball(n, e, rng, size=m, out=b[:m]) for e, b in zip(exponents, buffers))
+                    chunk_sums[stream].append([(float(v.sum()), float((v * v).sum())) for v in statistics(*points)])
         except BaseException as exc:
             errors.append(exc)
             for _ in todo:  # hand out no more streams
                 pass
 
-    buffers = [[np.empty((rows, n)) for _ in range(sides)] for _ in range(workers)]
+    buffers = [[np.empty((rows, n)) for _ in exponents] for _ in range(workers)]
     helpers = [threading.Thread(target=work, args=(own,)) for own in buffers[1:]]
     for helper in helpers:
         helper.start()
@@ -238,13 +238,7 @@ def estimate_f(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
     """
     n = check_dimension(n)
     e = as_exponent(p)
-    eq = e.conjugate()
-
-    def draw(rng, out):
-        x, y = out
-        return sample_ball(n, e, rng, size=len(x), out=x), sample_ball(n, eq, rng, size=len(y), out=y)
-
-    return _stream_means(n, config, (), draw, lambda xy: (np.einsum("ij,ij->i", *xy) ** 2,), sides=2)[0]
+    return _stream_means(n, config, (), (e, e.conjugate()), lambda x, y: (np.einsum("ij,ij->i", x, y) ** 2,))[0]
 
 
 def estimate_f_factored(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
@@ -257,15 +251,10 @@ def estimate_f_factored(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
     """
     n = check_dimension(n)
     e = as_exponent(p)
-
-    def x1_sq_mean(side: int, e) -> MCEstimate:
-        return _stream_means(
-            n, config, (side,),
-            lambda rng, out: sample_ball(n, e, rng, size=len(out[0]), out=out[0]), lambda x: (x[:, 0] ** 2,),
-        )[0]
-
-    a = x1_sq_mean(0, e)
-    b = x1_sq_mean(1, e.conjugate())
+    a, b = (
+        _stream_means(n, config, (side,), (s,), lambda x: (x[:, 0] ** 2,))[0]
+        for side, s in enumerate((e, e.conjugate()))
+    )
     mean = n * a.mean * b.mean
     std_error = n * math.sqrt(
         (b.mean * a.std_error) ** 2 + (a.mean * b.std_error) ** 2

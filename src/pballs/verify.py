@@ -10,8 +10,9 @@ comparators by the monotone rule on two product results); the CLI uses the
 same rules.  Suites that truncate a series
 run the driver's one fixed contract (MAX_TERMS, REL_TOL in
 :mod:`pballs.gamma_core`) and take no arguments; the Monte Carlo suite takes
-one :class:`~pballs.montecarlo.MCConfig` and draws every point through the
-chunked reducer of :mod:`pballs.montecarlo`.
+one :class:`~pballs.montecarlo.MCConfig` and gives the chunked reducer of
+:mod:`pballs.montecarlo` the exponents to draw and the statistics to
+reduce; the reducer draws every point, and this module calls no sampler.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .moments import (
     remark_limit_check,
     routes_agree,
 )
-from .montecarlo import MCConfig, _stream_means, estimate_f, estimate_f_factored, sample_ball
+from .montecarlo import MCConfig, _stream_means, estimate_f, estimate_f_factored
 from .pball import as_exponent, normalized_second_moment, second_moment_integral, volume
 
 __all__ = ["Check", "SUITE_NAMES", "run_suite"]
@@ -388,10 +389,8 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
                 # their (negative) correlation is priced into the band
                 return (sq, x[:, 0]) + ((sq - x[:, 1] * x[:, 1],) if n >= 2 else ())
 
-            estimates = _stream_means(
-                n, replace(config, seed=config.seed * 1000 + idx, streams=1), (),
-                lambda rng, out: sample_ball(n, e, rng, size=len(out[0]), out=out[0]), statistics,
-            )
+            cell = replace(config, seed=config.seed * 1000 + idx, streams=1)
+            estimates = _stream_means(n, cell, (), (e,), statistics)
             idx += 1
             if config.samples < 2:
                 continue  # a standard error needs two samples

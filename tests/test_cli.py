@@ -139,7 +139,14 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "n, message",
-        [("1..1000000000000000000", "exceeds the supported cap"), ("0..3", "must be >= 1")],
+        [
+            ("1..1000000000000000000", "exceeds the supported cap"),
+            ("0..3", "must be >= 1"),
+            *(
+                (tok, f"bad dimension '{tok}': expected an integer or a range a..b")
+                for tok in ("3..", "2..x", "..5", "2.5")
+            ),
+        ],
     )
     def test_range_ends_are_checked_before_expanding(self, capsys, n, message):
         # a range past the dimension cap is a usage error at once, not an

@@ -245,21 +245,26 @@ class TestChunking:
         assert all(size * n <= montecarlo._CHUNK_ELEMENTS for size in sizes)
 
     def test_every_verify_mc_draw_holds_at_most_the_element_cap(self, monkeypatch):
-        # the sampler checks draw through the same chunked reducer
+        # the sampler checks draw through the same chunked reducer, so the
+        # one name montecarlo.sample_ball sees every row the suite draws
         from pballs import verify
 
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 64)
         elements = []
+        rows = []
         real = montecarlo.sample_ball
 
         def recording(n, p, rng, size=None, out=None):
             elements.append(size * n)
+            rows.append(size)
             return real(n, p, rng, size=size, out=out)
 
         monkeypatch.setattr(montecarlo, "sample_ball", recording)
-        monkeypatch.setattr(verify, "sample_ball", recording)
         verify.suite_mc(MCConfig(400, 0, 2))
         assert elements and max(elements) <= 64
+        # 25 estimate_f cells of x and y, 20 sampler cells of x, and two
+        # consistency pairs of estimate_f and estimate_f_factored
+        assert sum(rows) == 25 * 800 + 20 * 400 + 2 * 1_600
 
 
 def _sequential_means(n, config, key, draw, statistics):
