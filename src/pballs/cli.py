@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .moments import (
     MomentResult,
@@ -29,8 +29,7 @@ from .pball import as_exponent, check_dimension
 from .verify import SUITE_NAMES, run_suite
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One output row; its fields, in this order, are the CSV columns and JSON keys."""
 
     n: int
@@ -53,7 +52,7 @@ class ReportRow:
         return out
 
 
-FIELDS = tuple(f.name for f in fields(ReportRow))
+FIELDS = ReportRow._fields
 CSV_HEADER = ",".join(FIELDS)
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def signed_ln_gamma(x: float) -> tuple[float, float]:
     return (-1.0 if math.floor(x) % 2 else 1.0), math.lgamma(x)
 
 
-@dataclass(frozen=True)
-class ProductResult:
+class ProductResult(NamedTuple):
     """A truncated product value plus its certified accuracy.
 
     tail_bound bounds |log(true/value)| (approximately the relative error),
@@ -77,20 +76,22 @@ class ProductResult:
     value: float
     tail_bound: float
     terms_used: int
-    converged: bool = field(init=False)
     stop: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "converged", self.stop == "tolerance")
+    @property
+    def converged(self) -> bool:
+        return self.stop == "tolerance"
 
 
-@dataclass(frozen=True)
-class _LogSum:
+class _LogSum(NamedTuple):
     total: float
     terms: int
     tail_bound: float
-    confirmed: bool
     stop: str
+
+    @property
+    def confirmed(self) -> bool:
+        return self.stop != "doubling-failed"
 
 
 EPS = 2.0**-52
@@ -248,8 +249,8 @@ def run_truncated_log_sum(terms, tail) -> _LogSum:
     total2, bound2 = estimate(2 * k, 2 * k)
     gap = abs(total2 - total)
     if gap > bound + bound2:
-        return _LogSum(total, 2 * k, gap + bound2, False, "doubling-failed")
-    return _LogSum(total, 2 * k, bound, True, stop)
+        return _LogSum(total, 2 * k, gap + bound2, "doubling-failed")
+    return _LogSum(total, 2 * k, bound, stop)
 
 
 def gamma_ratio_product(x: float, a: float) -> ProductResult:

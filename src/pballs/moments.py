@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._kernels import ineq3_min, moment_product_log, sign_series_sum
 from .gamma_core import (
@@ -85,8 +85,7 @@ class Sign(enum.Enum):
     POSITIVE = 1
 
 
-@dataclass(frozen=True)
-class MomentResult:
+class MomentResult(NamedTuple):
     """A value of f(n, p).
 
     error_estimate is an absolute bound: 0 for the exact closed forms at
@@ -105,8 +104,7 @@ class MomentResult:
     terms_used: int = 0
 
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(NamedTuple):
     """Outcome of the derivative-sign series at one (n, t).
 
     sign is ZERO when |series_value| <= tail_bound, the certified bound on
@@ -120,8 +118,7 @@ class SignReport:
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class MonotonicityScan:
+class MonotonicityScan(NamedTuple):
     """The ordering verdict on values of f(n, .) on one side of 2.
 
     monotone: no step goes the wrong way by more than its two values'

@@ -35,6 +35,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ class MCConfig:
             )
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     """Empirical mean with its standard error (unbiased sample variance)."""
 
     mean: float

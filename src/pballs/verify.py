@@ -18,7 +18,8 @@ reduce; the reducer draws every point, and this module calls no sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ from .pball import as_exponent, normalized_second_moment, second_moment_integral
 __all__ = ["Check", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -231,6 +231,17 @@ class TestGammaRatioProduct:
         assert out.terms_used == MAX_TERMS
         assert math.isinf(out.tail_bound)
 
+    def test_failed_doubling_check_is_not_converged(self, monkeypatch):
+        # a tail that claims zero with a zero bound is refuted by the head
+        from pballs import gamma_core
+
+        monkeypatch.setattr(gamma_core, "ln_gamma_difference", lambda x, h: (0.0, 0.0))
+        out = gamma_ratio_product(2.0, 0.5)
+        assert out.stop == "doubling-failed"
+        assert out.converged is False
+        with pytest.raises(AttributeError):
+            out.converged = True
+
     def test_doubling_confirmation_reported(self):
         out = gamma_ratio_product(2.0, 0.5)
         assert out.stop == "tolerance" and out.converged  # the doubling check did not fail

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -243,7 +242,7 @@ class TestMonotonicityScan:
 
 
 def _cell(n, p, value, error=0.0):
-    return dataclasses.replace(f_gamma(n, p), value=value, error_estimate=error)
+    return f_gamma(n, p)._replace(value=value, error_estimate=error)
 
 
 class TestMonotoneVerdict:
@@ -291,16 +290,16 @@ class TestKuperbergCheck:
 class TestKuperbergVerdict:
     def test_value_within_its_error_of_the_ceiling_passes(self):
         bound = kuperberg_bound(5)
-        cell = dataclasses.replace(f_gamma(5, 2.0), value=bound + 0.5e-13, error_estimate=1e-13)
+        cell = f_gamma(5, 2.0)._replace(value=bound + 0.5e-13, error_estimate=1e-13)
         assert kuperberg_verdict(cell) == (True, bound - (bound + 0.5e-13))
 
     def test_value_beyond_its_error_above_the_ceiling_fails(self):
         bound = kuperberg_bound(5)
-        cell = dataclasses.replace(f_gamma(5, 2.0), value=bound + 2e-13, error_estimate=1e-13)
+        cell = f_gamma(5, 2.0)._replace(value=bound + 2e-13, error_estimate=1e-13)
         ok, margin = kuperberg_verdict(cell)
         assert not ok
         assert margin < 0.0
-        exact = dataclasses.replace(cell, error_estimate=0.0, value=bound + 1e-16)
+        exact = cell._replace(error_estimate=0.0, value=bound + 1e-16)
         assert not kuperberg_verdict(exact)[0]
 
 
@@ -384,7 +383,7 @@ class TestBoundComparator:
 
         def loose(n, p):
             fp = real(n, p)
-            return dataclasses.replace(fp, error_estimate=fp.value)
+            return fp._replace(error_estimate=fp.value)
 
         monkeypatch.setattr(verify, "f_product", loose)
         checks = verify.suite_corollaries()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -24,6 +25,9 @@ class TestMCConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             MCConfig(samples=10, streams=3)
+        # replace builds anew, so the check runs again; NamedTuple._replace would skip it
+        with pytest.raises(ValueError, match="divisible"):
+            dataclasses.replace(MCConfig(), streams=3)
 
     @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"streams": 0}])
     def test_positivity(self, kwargs):
