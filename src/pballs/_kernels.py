@@ -5,8 +5,9 @@ vectorized pass.  The three series kernels return the terms k_lo..k_hi
 themselves; the truncation driver sums them, and asks for each term once,
 one doubling step ahead of the head it sums (so a few dozen indices per
 call, more only when a tolerance below the rounding floor sends it to the
-budget).  ``ineq3_min`` scans its range for the minimum in place, on a few
-buffers of its own.
+budget).  ``sign_series_sum`` and ``ineq3_min`` work in place on the
+quadratics' buffers, which keeps the budget path's peak memory at six
+arrays of the range.
 """
 
 from __future__ import annotations
@@ -81,13 +82,26 @@ def sign_series_sum(n: float, t: float, k_lo: int, k_hi: int) -> np.ndarray:
     regrouped as (n-1)*[((n+5)k^2+3(n+2)k)/(g3*g_{n+2})
     - ((n+1)k^2+nk)/(g1*g_n)] so that n=1 yields exact zeros.
     """
+    # each operation is the printed one, in the printed order, in place on
+    # the quadratics' buffers: at most six arrays of the range at once
     k = _krange(k_lo, k_hi)
     m = n + 2.0
     g1, g3, gn, gm = _quadratics(n, t, k)
-    return (n - 1.0) * (
-        ((n + 5.0) * k * k + 3.0 * m * k) / (g3 * gm)
-        - ((n + 1.0) * k * k + n * k) / (g1 * gn)
-    )
+    g3 *= gm  # the denominators; g_{n+2} and g_n are free from here on
+    g1 *= gn
+    # ((n+5)*k*k + 3*m*k) / (g3*g_{n+2}), in gm's buffer
+    np.multiply(n + 5.0, k, out=gm)
+    gm *= k
+    gm += np.multiply(3.0 * m, k, out=gn)
+    gm /= g3
+    # ((n+1)*k*k + n*k) / (g1*g_n), in gn's buffer, with g3's as a temporary
+    np.multiply(n + 1.0, k, out=gn)
+    gn *= k
+    gn += np.multiply(n, k, out=g3)
+    gn /= g1
+    gm -= gn
+    gm *= n - 1.0
+    return gm
 
 
 def ineq3_min(n: float, t: float, k_lo: int, k_hi: int):

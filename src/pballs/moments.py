@@ -20,7 +20,10 @@ The sign of df/dt is decided by the series of per-factor log derivatives
 (``derivative_sign_series``), whose tail is the same sum for psi; both tails
 call the certified Stirling differences of :mod:`pballs.gamma_core`.  The
 per-term polynomial inequality that the termwise argument rests on is
-checked verbatim (``per_term_minimum``).
+expanded exactly from its printed form (``_per_term_polynomial``): at
+k = 1 + j and n = 2 + u every coefficient in (j, u, t) is a nonnegative
+integer and the constant is positive, which proves it for every real k >= 1,
+n >= 2 and t >= 0; ``per_term_minimum`` evaluates it in floating point.
 The paper's claims are judged here and only here, each on the routes'
 results and their certified bounds rather than on a fixed tolerance:
 ``kuperberg_verdict`` holds f to the conjectured ceiling n/(n+2)^2,
@@ -284,10 +287,11 @@ def derivative_sign_series(n, t: float) -> SignReport:
 
 
 def per_term_minimum(n, t: float, k_max: int):
-    """Minimum of the printed per-term polynomial over k = 1..k_max.
+    """Minimum of the printed per-term polynomial over k = 1..k_max, in floating point.
 
-    Returns (min_value, argmin_k); positivity on the range holds iff
-    min_value > 0.  Failures are for the caller to report, not swallow.
+    Returns (min_value, argmin_k); the sample is positive on the range iff
+    min_value > 0.  The verify suite proves positivity on the whole domain
+    from the exact expansion (``_per_term_polynomial``) instead.
     """
     n = check_dimension(n)
     if n < 2:
@@ -298,6 +302,46 @@ def per_term_minimum(n, t: float, k_max: int):
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     return ineq3_min(float(n), float(t), 1, k_max)
+
+
+def _per_term_polynomial() -> dict[tuple[int, int, int], int]:
+    """The printed per-term polynomial, expanded exactly at k = 1 + j, n = 2 + u.
+
+    P = n^2*g3*g_{n+2}*(g_n - g1) + g_n*((n+2)^2*g1*g3 - 9*g_{n+2}) with
+    g_m = k^2 + m*k + m^2*t, built from those definitions in Python integers.
+    Returns the nonzero coefficients, keyed by the exponents (a, b, c) of
+    j^a u^b t^c.  If none is negative, P is at least its constant term for
+    every real k >= 1, n >= 2 and t >= 0.
+    """
+
+    def add(*polys):
+        out = {}
+        for poly in polys:
+            for e, c in poly.items():
+                out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    def mul(*polys):
+        out = {Z: 1}
+        for poly in polys:
+            prod = {}
+            for (a, b, c), x in out.items():
+                for (d, e, f), y in poly.items():
+                    key = (a + d, b + e, c + f)
+                    prod[key] = prod.get(key, 0) + x * y
+            out = prod
+        return out
+
+    Z = (0, 0, 0)
+    k = {Z: 1, (1, 0, 0): 1}  # 1 + j
+    n = {Z: 2, (0, 1, 0): 1}  # 2 + u
+    t = {(0, 0, 1): 1}
+    m = add(n, {Z: 2})
+    g1, g3, gn, gm = (add(mul(k, k), mul(c, k), mul(c, c, t)) for c in ({Z: 1}, {Z: 3}, n, m))
+    return add(
+        mul(n, n, g3, gm, add(gn, mul({Z: -1}, g1))),
+        mul(gn, add(mul(m, m, g1, g3), mul({Z: -9}, gm))),
+    )
 
 
 def monotone_verdict(results) -> MonotonicityScan:

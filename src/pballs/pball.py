@@ -168,7 +168,10 @@ def second_moment_integral(n, p) -> float:
 def _moment_log_terms(n: int, p: float) -> tuple[float, float, float, float]:
     """The signed ln Gamma terms whose sum is ln E[x_1^2] on B_p^n, for finite p:
     E[x_1^2] = Gamma(3/p)Gamma(1+n/p) / [Gamma(1/p)Gamma(1+(n+2)/p)]."""
-    return ln_gamma(3.0 / p), ln_gamma(1.0 + n / p), -ln_gamma(1.0 / p), -ln_gamma(1.0 + (n + 2) / p)
+    # every argument is a positive float for finite p >= 1, so the closed
+    # form's inner loop skips ln_gamma's guard
+    lgamma = math.lgamma
+    return lgamma(3.0 / p), lgamma(1.0 + n / p), -lgamma(1.0 / p), -lgamma(1.0 + (n + 2) / p)
 
 
 def normalized_second_moment(n, p) -> float:

@@ -28,6 +28,7 @@ from .moments import (
     GAMMA_ROUNDING_ULPS,
     MC_STD_ERRORS,
     Sign,
+    _per_term_polynomial,
     derivative_sign_series,
     f_endpoint,
     f_gamma,
@@ -35,7 +36,6 @@ from .moments import (
     kuperberg_verdict,
     mc_agrees,
     monotone_verdict,
-    per_term_minimum,
     remark_limit_check,
     routes_agree,
 )
@@ -75,9 +75,6 @@ GAMMA_RATIO_A_GRID = (-0.9, -0.5, 0.0, 0.25, 0.5, 0.9)
 SIGN_T_GRID = (0.01, 0.05, 0.1, 0.2, 0.25)
 FD_STEP = 1e-5  # half-width of the closed-form difference the derivative signs are held to
 
-INEQ3_T_GRID = (0.01, 0.25, 1.0, 10.0)
-INEQ3_K_MAX = 10_000
-
 COMPARATOR_PAIRS_LOW = (
     (1.0, 2.0), (1.0, 1.5), (1.2, 1.8), (1.5, 2.0), (1.1, 1.3),
     (1.25, 1.75), (1.4, 1.9), (1.6, 2.0), (1.05, 1.95), (1.3, 1.6),
@@ -107,9 +104,10 @@ def suite_endpoints() -> list[Check]:
     checks = []
 
     worst = 0.0
+    two = as_exponent(2.0)
     for n in range(1, 101):
         target = n / ((n + 2) ** 2)
-        got = f_gamma(n, 2.0).value
+        got = f_gamma(n, two).value
         worst = max(worst, abs(got - target) / target)
     checks.append(_check(
         "self-dual-value", worst <= 1e-12,
@@ -117,10 +115,11 @@ def suite_endpoints() -> list[Check]:
     ))
 
     worst = 0.0
+    ends = (as_exponent(1.0), as_exponent(math.inf))
     for n in range(1, 101):
         # n * E[x1^2] on B_1^n * E[y1^2] on B_inf^n, from the balls' Dirichlet formulas
-        target = n * math.prod(second_moment_integral(n, p) / volume(n, p) for p in (1.0, math.inf))
-        for p in (1.0, math.inf):
+        target = n * math.prod(second_moment_integral(n, p) / volume(n, p) for p in ends)
+        for p in ends:
             for route in (f_gamma, f_product):
                 worst = max(worst, abs(route(n, p).value - target) / target)
     checks.append(_check(
@@ -130,9 +129,10 @@ def suite_endpoints() -> list[Check]:
     ))
 
     worst = 0.0
+    near = as_exponent(1.0 + 1e-6)
     for n in range(1, 21):
         target = f_endpoint(n)
-        got = f_gamma(n, 1.0 + 1e-6).value
+        got = f_gamma(n, near).value
         worst = max(worst, abs(got - target) / target)
     checks.append(_check(
         "endpoint-continuity", worst <= 1e-4,
@@ -150,8 +150,9 @@ def suite_routes() -> list[Check]:
 
     worst_share = 0.0
     disagree = 0
+    route_grid = [as_exponent(p) for p in ROUTE_P_GRID]
     for n in range(1, 51):
-        for p in ROUTE_P_GRID:
+        for p in route_grid:
             fg = f_gamma(n, p)
             fp = f_product(n, p)
             dev = abs(fg.value - fp.value)
@@ -169,8 +170,9 @@ def suite_routes() -> list[Check]:
     for i in range(1, 21):
         n = i
         p = 1.025 + 0.0475 * (i - 1)
-        a = f_gamma(n, p).value
-        b = f_gamma(n, as_exponent(p).conjugate()).value
+        e = as_exponent(p)
+        a = f_gamma(n, e).value
+        b = f_gamma(n, e.conjugate()).value
         worst = max(worst, abs(a - b) / a)
     checks.append(_check(
         "conjugate-symmetry", worst <= 1e-12,
@@ -215,26 +217,36 @@ def _p_of_t(t: float) -> float:
     return 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * t))
 
 
-def _fd_derivative_sign(n: int, t: float) -> float:
-    """Difference of the closed form f across t: central over [t - FD_STEP,
+def _fd_derivative_sign(f_cell, n: int, t: float) -> float:
+    """Difference of the closed form f_cell across t: central over [t - FD_STEP,
     t + FD_STEP], or backward over [t - 2*FD_STEP, t] where t + FD_STEP would
     pass t = 1/4, beyond which no real exponent exists."""
     if t + FD_STEP <= 0.25:
         lo, hi = t - FD_STEP, t + FD_STEP
     else:
         lo, hi = t - 2.0 * FD_STEP, t
-    return f_gamma(n, _p_of_t(hi)).value - f_gamma(n, _p_of_t(lo)).value
+    return f_cell(n, _p_of_t(hi)).value - f_cell(n, _p_of_t(lo)).value
 
 
 def suite_monotonicity() -> list[Check]:
     checks = []
+    exponents, cells = {}, {}
+
+    def f_cell(n: int, p: float):
+        # f_gamma(n, p), each exponent built and each (n, p) cell evaluated
+        # once: the grids below share exponents and cells
+        if p not in exponents:
+            exponents[p] = as_exponent(p)
+        if (n, p) not in cells:
+            cells[n, p] = f_gamma(n, exponents[p])
+        return cells[n, p]
 
     bound_ok = True
     min_margin = math.inf
     within = 0
     for n in range(1, 101):
         for p in BOUND_P_GRID:
-            fg = f_gamma(n, p)
+            fg = f_cell(n, p)
             ok, margin = kuperberg_verdict(fg)
             bound_ok &= ok
             min_margin = min(min_margin, margin)
@@ -245,10 +257,10 @@ def suite_monotonicity() -> list[Check]:
         f"min margin {min_margin:.3g}",
     ))
 
-    inc_grid = [1.0 + 0.05 * i for i in range(21)]
+    inc_grid = BOUND_P_GRID[:21]  # 1 + 0.05*i for i = 0..20
     dec_grid = _geomspace(2.0, 100.0, 20) + [math.inf]
-    ok_inc = all(monotone_verdict([f_gamma(n, p) for p in inc_grid]).strict for n in range(2, 21))
-    ok_dec = all(monotone_verdict([f_gamma(n, p) for p in dec_grid]).strict for n in range(2, 21))
+    ok_inc = all(monotone_verdict([f_cell(n, p) for p in inc_grid]).strict for n in range(2, 21))
+    ok_dec = all(monotone_verdict([f_cell(n, p) for p in dec_grid]).strict for n in range(2, 21))
     checks.append(_check(
         "monotone-increasing", ok_inc,
         "f strictly increasing on 21-point grid in [1,2] for n=2..20",
@@ -260,7 +272,7 @@ def suite_monotonicity() -> list[Check]:
 
     worst = 0.0
     for p in (1.0, 1.3, 2.0, 5.0, math.inf):
-        worst = max(worst, abs(f_gamma(1, p).value - 1.0 / 9.0) * 9.0)
+        worst = max(worst, abs(f_cell(1, p).value - 1.0 / 9.0) * 9.0)
     checks.append(_check(
         "constant-at-n1", worst <= 1e-12,
         f"f(1,p) = 1/9 across p grid, worst rel dev {worst:.3g}",
@@ -271,7 +283,7 @@ def suite_monotonicity() -> list[Check]:
     for n in range(2, 21):
         for t in SIGN_T_GRID:
             report = derivative_sign_series(n, t)
-            fd = _fd_derivative_sign(n, t)
+            fd = _fd_derivative_sign(f_cell, n, t)
             agrees = report.sign == Sign.POSITIVE and fd > 0.0
             if not agrees:
                 sign_ok = False
@@ -289,24 +301,18 @@ def suite_monotonicity() -> list[Check]:
 
 
 # --------------------------------------------------------------------------
-# per-term inequality grid
+# per-term inequality certificate
 
 def suite_ineq3() -> list[Check]:
-    failures = []
-    global_min = math.inf
-    for n in range(2, 51):
-        for t in INEQ3_T_GRID:
-            mn, arg = per_term_minimum(n, t, INEQ3_K_MAX)
-            global_min = min(global_min, mn)
-            if mn <= 0.0:
-                failures.append((n, t, arg, mn))
-    detail = (
-        f"printed per-term polynomial on k=1..{INEQ3_K_MAX}, n=2..50, "
-        f"t in {INEQ3_T_GRID}, global min {global_min:.6g}"
-    )
-    if failures:
-        detail += f"; FAILURES {failures}"
-    return [_check("per-term-positivity", not failures, detail)]
+    # at k = 1+j, n = 2+u every monomial in (j, u, t) is >= 0 on the domain, so
+    # nonnegative coefficients and a positive constant prove P >= constant > 0
+    poly = _per_term_polynomial()
+    smallest, constant = min(poly.values()), poly.get((0, 0, 0), 0)
+    return [_check(
+        "per-term-positivity", smallest >= 0 and constant > 0,
+        "printed per-term polynomial on all real k>=1, n>=2, t>=0, expanded exactly at k=1+j, n=2+u: "
+        f"{len(poly)} monomials in (j,u,t), smallest coefficient {smallest}, constant {constant}",
+    )]
 
 
 # --------------------------------------------------------------------------
@@ -332,8 +338,9 @@ def suite_corollaries() -> list[Check]:
         # The corollary for r < s orders P(R) and P(S), R = (r-1)/r^2.  R is the
         # product parameter t = (p-1)/p^2 at p = r and f = (n/9)*P(t), so this is
         # the strict order of the product route's f on one side of 2.
+        exps = {p: as_exponent(p) for pair in pairs for p in pair}
         bad = [(n, r, s) for n in (2, 5, 20) for r, s in pairs
-               if not monotone_verdict([f_product(n, r), f_product(n, s)]).strict]
+               if not monotone_verdict([f_product(n, exps[r]), f_product(n, exps[s])]).strict]
         checks.append(_check(
             f"comparator-{label}", not bad,
             f"10 (r,s) pairs x n in {{2,5,20}}, products ordered by more than their tail bounds"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -199,6 +200,30 @@ class TestVerify:
         assert code == 0
         assert "PASS gamma-ratio-limit" in out
         assert "OVERALL: PASS" in out
+
+    @pytest.mark.parametrize(
+        "suite,digest",
+        [
+            ("routes", "78dd98c90b1d617f9b866b4c775ca1c14c4778caf8277224633de0fe52f0b971"),
+            ("endpoints", "a1c7ec860bc0842fa9b5cf8dfca26f82776d299ed605c1d64c2d27180ef154a1"),
+            ("monotonicity", "f1170731a07c499d104092e4204ea1061f6003385d8ad64e5be46e4c3a17304f"),
+            ("remark-limit", "2bf97996a57be05b9ebafdfba71ea684a979ad6490a5a513d821d387412fbc92"),
+            ("corollaries", "d633cf9facd9eb69ac3589ddb87c6ba507d55d3ef5025ad754f2cc656bd2ee1a"),
+        ],
+    )
+    def test_suite_bytes(self, capsys, suite, digest):
+        # sha256 of each deterministic suite's stdout: a speed-up keeps every byte
+        code, out, err = run_cli(capsys, "verify", suite)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+    def test_ineq3_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "ineq3")
+        assert (code, err) == (0, "")
+        assert out == (
+            "PASS per-term-positivity: printed per-term polynomial on all real k>=1, n>=2, t>=0, "
+            "expanded exactly at k=1+j, n=2+u: 89 monomials in (j,u,t), smallest coefficient 1, "
+            "constant 329\nOVERALL: PASS (1/1 checks)\n"
+        )
 
     def test_missing_suite(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

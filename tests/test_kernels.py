@@ -2,6 +2,7 @@
 the truncated routes' values pinned bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ import pytest
 from pballs import _kernels as kernels
 from pballs.gamma_core import MAX_TERMS, gamma_ratio_product
 from pballs.moments import derivative_sign_series, f_product
-from pballs.verify import INEQ3_T_GRID
+from pballs.verify import SIGN_T_GRID
+
+# the t grid the per-term scan was pinned on
+INEQ3_T_GRID = (0.01, 0.25, 1.0, 10.0)
 
 
 def _g(k, m, t):
@@ -75,6 +79,36 @@ class TestAgainstDirectReference:
             assert got == pytest.approx(ref_sign_series(n, t, 1, 400), rel=1e-9, abs=1e-12)
             assert abs_sum >= abs(got) - 1e-15
             assert mn <= got or n == 1.0
+
+    def test_sign_series_sum_is_the_printed_expression_bit_for_bit(self):
+        # the in-place kernel against the regrouped terms evaluated out of
+        # place, operation for operation
+        k = np.arange(1, 10_001, dtype=np.float64)
+        for n in (1.0, 2.0, 20.0, 1e5):
+            m = n + 2.0
+            for t in SIGN_T_GRID:
+                g1 = k * k + k + t
+                g3 = k * k + 3.0 * k + 9.0 * t
+                gn = k * k + n * k + n * n * t
+                gm = k * k + m * k + m * m * t
+                terms = (n - 1.0) * (
+                    ((n + 5.0) * k * k + 3.0 * m * k) / (g3 * gm)
+                    - ((n + 1.0) * k * k + n * k) / (g1 * gn)
+                )
+                got = kernels.sign_series_sum(n, t, 1, 10_000)
+                assert got.tobytes() == terms.tobytes()
+
+    def test_sign_series_sum_peak_memory(self):
+        # a budget-path call holds at most six arrays of its range at once
+        # (the quadratics' four, k and k*k); the slack is the arrays' headers
+        terms = 500_000
+        tracemalloc.start()
+        try:
+            kernels.sign_series_sum(1e5, 1e-9, 1, terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * terms + 4096
 
     def test_sign_series_exact_zero_at_n1(self):
         terms = kernels.sign_series_sum(1.0, 0.17, 1, 1000)

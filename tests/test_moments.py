@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pballs.gamma_core import FIRST_HEAD, REL_TOL
 from pballs.moments import (
     Sign,
+    _per_term_polynomial,
     derivative_sign_series,
     f_endpoint,
     f_gamma,
@@ -173,6 +176,33 @@ class TestPerTermPositivity:
         mn, arg = per_term_minimum(2, 0.25, 10_000)
         assert mn > 0.0
         assert 1 <= arg <= 10_000
+
+
+def _printed_per_term(k, n, t):
+    def g(m):
+        return k * k + m * k + m * m * t
+
+    return n * n * g(3) * g(n + 2) * (g(n) - g(1)) + g(n) * ((n + 2) ** 2 * g(1) * g(3) - 9 * g(n + 2))
+
+
+class TestPerTermPolynomial:
+    def test_certificate_numbers(self):
+        poly = _per_term_polynomial()
+        assert len(poly) == 89
+        assert (min(poly.values()), max(poly.values()), poly[0, 0, 0]) == (1, 9284, 329)
+        # at k = 1, n = 2 it is 2304t^3 + 3148t^2 + 1632t + 329
+        assert {e[2]: c for e, c in poly.items() if e[:2] == (0, 0)} == {3: 2304, 2: 3148, 1: 1632, 0: 329}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.fractions(min_value=1, max_value=10**4, max_denominator=10**3),
+        n=st.fractions(min_value=2, max_value=10**6, max_denominator=10**3),
+        t=st.fractions(min_value=0, max_value=100, max_denominator=10**3),
+    )
+    def test_expansion_is_the_printed_expression(self, k, n, t):
+        j, u = k - 1, n - 2
+        expanded = sum(c * j**a * u**b * t**d for (a, b, d), c in _per_term_polynomial().items())
+        assert expanded == _printed_per_term(k, n, t)
 
 
 def _gamma_results(n, grid):
