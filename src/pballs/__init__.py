@@ -23,7 +23,6 @@ from .moments import (
     f_product,
     gk_ratio_product,
     kuperberg_bound,
-    per_term_minimum,
     remark_limit_check,
 )
 from .montecarlo import MCConfig, MCEstimate, estimate_f, estimate_f_factored, sample_ball
@@ -65,7 +64,6 @@ __all__ = [
     "kuperberg_bound",
     "ln_gamma",
     "normalized_second_moment",
-    "per_term_minimum",
     "remark_limit_check",
     "run_suite",
     "sample_ball",

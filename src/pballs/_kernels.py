@@ -7,7 +7,9 @@ one doubling step ahead of the head it sums (so a few dozen indices per
 call, more only when a tolerance below the rounding floor sends it to the
 budget).  ``sign_series_sum`` and ``ineq3_min`` work in place on the
 quadratics' buffers, which keeps the budget path's peak memory at six
-arrays of the range.
+arrays of the range.  ``ineq3_min``, the float minimum of the per-term
+polynomial, has no caller in the package (``moments`` proves the
+inequality exactly); it stays only because the benchmark's tracer names it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ per-term polynomial inequality that the termwise argument rests on is
 expanded exactly from its printed form (``_per_term_polynomial``): at
 k = 1 + j and n = 2 + u every coefficient in (j, u, t) is a nonnegative
 integer and the constant is positive, which proves it for every real k >= 1,
-n >= 2 and t >= 0; ``per_term_minimum`` evaluates it in floating point.
+n >= 2 and t >= 0.
 The paper's claims are judged here and only here, each on the routes'
 results and their certified bounds rather than on a fixed tolerance:
 ``kuperberg_verdict`` holds f to the conjectured ceiling n/(n+2)^2,
@@ -44,7 +44,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from ._kernels import ineq3_min, moment_product_log, sign_series_sum
+from ._kernels import moment_product_log, sign_series_sum
 from .gamma_core import (
     EPS,
     ProductResult,
@@ -53,7 +53,7 @@ from .gamma_core import (
     ln_gamma_difference,
     run_truncated_log_sum,
 )
-from .pball import Exponent, _moment_log_terms, _whole, as_exponent, check_dimension
+from .pball import Exponent, _moment_log_terms, as_exponent, check_dimension
 
 __all__ = [
     "Sign",
@@ -66,7 +66,6 @@ __all__ = [
     "routes_agree",
     "gk_ratio_product",
     "derivative_sign_series",
-    "per_term_minimum",
     "monotone_verdict",
     "kuperberg_bound",
     "kuperberg_verdict",
@@ -112,12 +111,13 @@ class SignReport(NamedTuple):
 
     sign is ZERO when |series_value| <= tail_bound, the certified bound on
     its absolute error: the series cannot then be told from zero.
+    terms_used counts the terms summed explicitly.  The sign is the sum's
+    alone; single terms can be negative where the sum is positive.
     """
 
     series_value: float
     sign: Sign
     terms_used: int
-    all_terms_positive: bool
     tail_bound: float
 
 
@@ -246,7 +246,7 @@ def derivative_sign_series(n, t: float) -> SignReport:
     (as produced by differentiating each log factor in t).  The series is
     identically zero for n = 1 since {1, 3} = {n, n+2} there; for n >= 2
     the sum is positive on (0, 1/4] even though individual terms need not
-    be (all_terms_positive reports what was actually observed).  With
+    be (the k = 1 term is negative at n = 2, t = 1/4).  With
     g_k(m,t) = (k+ma)(k+mb), the tail over k >= x0 is m^2 (psi(x0+mb) -
     psi(x0+ma))/(mb - ma), added for m in {1, n+2} and taken for m in {3, n};
     tail_bound bounds the absolute error of series_value, and the sign is
@@ -256,14 +256,6 @@ def derivative_sign_series(n, t: float) -> SignReport:
     t = float(t)
     if not (0.0 < t <= 0.25):
         raise ValueError(f"t must lie in (0, 1/4], got {t}")
-
-    min_term = math.inf
-
-    def terms(k_lo: int, k_hi: int):
-        nonlocal min_term
-        out = sign_series_sum(float(n), t, k_lo, k_hi)
-        min_term = min(min_term, float(out.min()))
-        return out
 
     s, a, _ = _roots(t)
 
@@ -276,32 +268,14 @@ def derivative_sign_series(n, t: float) -> SignReport:
         value = (v1 - n * n * vn) + ((n + 2) ** 2 * vm - 9.0 * v3)
         return value, e1 + n * n * en + (n + 2) ** 2 * em + 9.0 * e3
 
-    out = run_truncated_log_sum(terms, tail)
+    out = run_truncated_log_sum(functools.partial(sign_series_sum, float(n), t), tail)
     if abs(out.total) <= out.tail_bound:
         sign = Sign.ZERO
     elif out.total > 0.0:
         sign = Sign.POSITIVE
     else:
         sign = Sign.NEGATIVE
-    return SignReport(out.total, sign, out.terms, min_term > 0.0, out.tail_bound)
-
-
-def per_term_minimum(n, t: float, k_max: int):
-    """Minimum of the printed per-term polynomial over k = 1..k_max, in floating point.
-
-    Returns (min_value, argmin_k); the sample is positive on the range iff
-    min_value > 0.  The verify suite proves positivity on the whole domain
-    from the exact expansion (``_per_term_polynomial``) instead.
-    """
-    n = check_dimension(n)
-    if n < 2:
-        raise ValueError("per-term positivity is stated for n >= 2")
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
-    k_max = _whole(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return ineq3_min(float(n), float(t), 1, k_max)
+    return SignReport(out.total, sign, out.terms, out.tail_bound)
 
 
 def _per_term_polynomial() -> dict[tuple[int, int, int], int]:

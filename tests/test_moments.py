@@ -17,7 +17,6 @@ from pballs.moments import (
     kuperberg_verdict,
     mc_agrees,
     monotone_verdict,
-    per_term_minimum,
     remark_limit_check,
 )
 from pballs.pball import Exponent
@@ -133,18 +132,11 @@ class TestDerivativeSignSeries:
         report = derivative_sign_series(1, 0.2)
         assert report.series_value == 0.0
         assert report.sign is Sign.ZERO
-        assert not report.all_terms_positive
 
     @pytest.mark.parametrize("n,t", [(2, 0.1), (2, 0.25), (5, 0.01), (10, 0.25), (20, 0.05)])
     def test_positive_for_higher_dimensions(self, n, t):
         report = derivative_sign_series(n, t)
         assert report.sign is Sign.POSITIVE
-
-    def test_not_termwise_positive_near_self_dual(self):
-        # the k=1 term is negative at (n=2, t=1/4) even though the sum is not
-        report = derivative_sign_series(2, 0.25)
-        assert report.sign is Sign.POSITIVE
-        assert not report.all_terms_positive
 
     def test_sign_matches_finite_difference(self):
         h = 1e-5
@@ -159,23 +151,6 @@ class TestDerivativeSignSeries:
     def test_t_validation(self, t):
         with pytest.raises(ValueError):
             derivative_sign_series(2, t)
-
-
-class TestPerTermPositivity:
-    @pytest.mark.parametrize("k,n,t", [(1, 2, 0.25), (1, 2, 10.0), (100, 50, 0.01), (10_000, 50, 10.0)])
-    def test_holds(self, k, n, t):
-        mn, _ = per_term_minimum(n, t, k)
-        assert mn > 0.0
-
-    @pytest.mark.parametrize("k,n,t", [(0, 2, 0.1), (1, 1, 0.1), (1, 2, 0.0), (1.5, 2, 0.1), (10, 3, math.inf)])
-    def test_validation(self, k, n, t):
-        with pytest.raises(ValueError):
-            per_term_minimum(n, t, k)
-
-    def test_minimum_scan(self):
-        mn, arg = per_term_minimum(2, 0.25, 10_000)
-        assert mn > 0.0
-        assert 1 <= arg <= 10_000
 
 
 def _printed_per_term(k, n, t):

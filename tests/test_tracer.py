@@ -13,12 +13,13 @@ import importlib
 import io
 import os
 
-from pballs import cli, montecarlo, verify
+from pballs import cli, moments, montecarlo, verify
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 COUNTERS = (
     "kernels.moment_product_log.terms",
+    "kernels.sign_series_sum.terms",
     "gamma_core.run_truncated_log_sum.calls",
     "verify.routes.s",
     "montecarlo.estimate_f.calls",
@@ -34,6 +35,7 @@ def test_traced_counters_are_nonzero(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(["scan", "--n", "2", "--p", "1.5,2"]) == 0
             assert cli.main(["verify", "routes"]) == 0
+        moments.derivative_sign_series(2, 0.1)
         config = montecarlo.MCConfig(64, 0, 1)
         montecarlo.estimate_f(2, 1.5, config)
         montecarlo.estimate_f_factored(2, 1.5, config)
