@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -115,15 +114,17 @@ EM_ORDER = 5
 # few-ulp error and the error in the roots the tails are built from.
 _ROUNDING_ULPS = 32
 
-# B_2, B_4, ..., B_12, exact.  B_{2j} weighs the j-th correction of
-# Stirling's series for ln Gamma and for psi for j <= EM_ORDER, and at
-# j = EM_ORDER + 1 the first omitted term, which bounds the remainder.
-_BERNOULLI = tuple(map(Fraction, ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730")))
+# B_2, B_4, ..., B_12 as exact (numerator, denominator) pairs.  B_{2j}
+# weighs the j-th correction of Stirling's series for ln Gamma and for psi
+# for j <= EM_ORDER, and at j = EM_ORDER + 1 the first omitted term, which
+# bounds the remainder.  One int / int true division rounds each weight
+# correctly.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730))
 
 
 def _em_table(divisor) -> tuple[tuple[float, ...], float]:
     """(B_{2j}/divisor(2j) for j = 1..EM_ORDER, |B_{2j}|/divisor(2j) at j = EM_ORDER + 1)."""
-    weights = [float(_BERNOULLI[j - 1] / divisor(2 * j)) for j in range(1, EM_ORDER + 2)]
+    weights = [num / (den * divisor(2 * j)) for j, (num, den) in enumerate(_BERNOULLI, 1)]
     return tuple(weights[:-1]), abs(weights[-1])
 
 

@@ -149,20 +149,20 @@ def f_endpoint(n) -> float:
 
 
 def f_gamma(n, p) -> MomentResult:
-    """f(n, p) from the gamma closed form (exact endpoint values at t = 0)."""
+    """f(n, p) from the gamma closed form (exact endpoint values at t = 0); its four
+    n-free ln Gamma terms are computed once per Exponent and kept on it."""
     n = check_dimension(n)
     e = as_exponent(p)
-    if e.is_endpoint:
+    if e.t == 0.0:
         return MomentResult(f_endpoint(n), 0.0, n, e)
     # f = n * m(n, p) * m(n, q), m the ball's E[x_1^2]; the terms are added
     # p then q, pair by pair, an order the printed values depend on
     ln_n = math.log(n)
-    a, b = _moment_log_terms(n, e.p), _moment_log_terms(n, e.q)
-    log_f = ln_n + a[0] + b[0] + a[1] + b[1] + a[2] + b[2] + a[3] + b[3]
+    a0, a1, a2, a3 = _moment_log_terms(n, e, 0)
+    b0, b1, b2, b3 = _moment_log_terms(n, e, 1)
+    log_f = ln_n + a0 + b0 + a1 + b1 + a2 + b2 + a3 + b3
     value = math.exp(log_f)
-    scale = 2.0 + abs(ln_n) + (
-        abs(a[0]) + abs(b[0]) + abs(a[1]) + abs(b[1]) + abs(a[2]) + abs(b[2]) + abs(a[3]) + abs(b[3])
-    )
+    scale = 2.0 + abs(ln_n) + (abs(a0) + abs(b0) + abs(a1) + abs(b1) + abs(a2) + abs(b2) + abs(a3) + abs(b3))
     error = GAMMA_ROUNDING_ULPS * EPS * scale * value
     return MomentResult(value, error, n, e)
 

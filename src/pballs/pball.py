@@ -42,12 +42,13 @@ class Exponent:
     """A norm exponent p in [1, inf] with its Hoelder conjugate and product parameter.
 
     Carries the triple (p, q, t): 1/p + 1/q = 1 under the convention
-    1/inf = 0, and t = 1/(p*q) = (p-1)/p^2 in [0, 1/4].  ``conjugate``
-    swaps the stored pair, so conjugation is an exact involution and t is
-    exactly conjugation-invariant.
+    1/inf = 0, and t = 1/(p*q) = (p-1)/p^2 in [0, 1/4], and from first use the
+    closed form's n-free ln Gamma terms of each side (``_side_terms``).
+    ``conjugate`` swaps the stored pairs, so conjugation is an exact
+    involution and t is exactly conjugation-invariant.
     """
 
-    __slots__ = ("p", "q", "t")
+    __slots__ = ("p", "q", "t", "_terms")
 
     def __init__(self, p: float):
         p = float(p)
@@ -65,18 +66,21 @@ class Exponent:
         self.p = p
         self.q = q
         self.t = t
+        self._terms = None
 
     def conjugate(self) -> "Exponent":
         other = object.__new__(Exponent)
         other.p = self.q
         other.q = self.p
         other.t = self.t
+        other._terms = self._terms and self._terms[::-1]
         return other
 
-    @property
-    def is_endpoint(self) -> bool:
-        """True at p in {1, inf}, where t = 0."""
-        return self.t == 0.0
+    def _side_terms(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(ln Gamma(3/x), -ln Gamma(1/x)) for x = p and x = q, both finite; computed once."""
+        if self._terms is None:
+            self._terms = tuple((math.lgamma(3.0 / x), -math.lgamma(1.0 / x)) for x in (self.p, self.q))
+        return self._terms
 
     def __repr__(self) -> str:
         return f"Exponent(p={self.p!r})"
@@ -107,6 +111,8 @@ def _whole(x, what: str) -> int:
 
 def check_dimension(n) -> int:
     """Validate a dimension: integer with 1 <= n <= MAX_DIMENSION."""
+    if type(n) is int and 1 <= n <= MAX_DIMENSION:
+        return n
     n = _whole(n, "dimension")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -165,13 +171,16 @@ def second_moment_integral(n, p) -> float:
     return _inf_on_overflow(math.exp, ln_phi)
 
 
-def _moment_log_terms(n: int, p: float) -> tuple[float, float, float, float]:
-    """The signed ln Gamma terms whose sum is ln E[x_1^2] on B_p^n, for finite p:
-    E[x_1^2] = Gamma(3/p)Gamma(1+n/p) / [Gamma(1/p)Gamma(1+(n+2)/p)]."""
-    # every argument is a positive float for finite p >= 1, so the closed
+def _moment_log_terms(n: int, e: Exponent, side: int) -> tuple[float, float, float, float]:
+    """The signed ln Gamma terms whose sum is ln E[x_1^2] on B_x^n, x = (e.p, e.q)[side]
+    finite: E[x_1^2] = Gamma(3/x)Gamma(1+n/x) / [Gamma(1/x)Gamma(1+(n+2)/x)].
+    The two n-free terms are the ones e keeps (Exponent._side_terms)."""
+    # every argument is a positive float for finite x >= 1, so the closed
     # form's inner loop skips ln_gamma's guard
+    x = e.q if side else e.p
+    ln_gamma_3, neg_ln_gamma_1 = e._side_terms()[side]
     lgamma = math.lgamma
-    return lgamma(3.0 / p), lgamma(1.0 + n / p), -lgamma(1.0 / p), -lgamma(1.0 + (n + 2) / p)
+    return ln_gamma_3, lgamma(1.0 + n / x), neg_ln_gamma_1, -lgamma(1.0 + (n + 2) / x)
 
 
 def normalized_second_moment(n, p) -> float:
@@ -182,4 +191,4 @@ def normalized_second_moment(n, p) -> float:
         return 1.0 / 3.0
     if e.p == 1.0:
         return 2.0 / ((n + 1) * (n + 2))
-    return math.exp(sum(_moment_log_terms(n, e.p)))
+    return math.exp(sum(_moment_log_terms(n, e, 0)))

@@ -333,14 +333,16 @@ def suite_remark_limit() -> list[Check]:
 # comparators
 
 def suite_corollaries() -> list[Check]:
+    """The comparator corollaries for n in {2, 5, 20}, each distinct (n, p) product evaluated once."""
     checks = []
     for label, pairs in (("forward", COMPARATOR_PAIRS_LOW), ("reversed", COMPARATOR_PAIRS_HIGH)):
         # The corollary for r < s orders P(R) and P(S), R = (r-1)/r^2.  R is the
         # product parameter t = (p-1)/p^2 at p = r and f = (n/9)*P(t), so this is
         # the strict order of the product route's f on one side of 2.
         exps = {p: as_exponent(p) for pair in pairs for p in pair}
+        fp = {(n, p): f_product(n, e) for n in (2, 5, 20) for p, e in exps.items()}
         bad = [(n, r, s) for n in (2, 5, 20) for r, s in pairs
-               if not monotone_verdict([f_product(n, exps[r]), f_product(n, exps[s])]).strict]
+               if not monotone_verdict([fp[n, r], fp[n, s]]).strict]
         checks.append(_check(
             f"comparator-{label}", not bad,
             f"10 (r,s) pairs x n in {{2,5,20}}, products ordered by more than their tail bounds"

@@ -171,6 +171,39 @@ class TestTruncationDriver:
         assert gamma_core._DIGAMMA_REMAINDER == 691.0 / 32760.0
         assert not {"EM_ORDER", "_em_table", "rounding_allowance"} & set(vars(moments))
 
+    def test_weights_are_the_correctly_rounded_bernoulli_ratios(self):
+        # each weight, formed by one int / int division, is the float nearest
+        # the exact rational B_{2j}/divisor(2j)
+        from fractions import Fraction
+
+        from pballs import gamma_core
+
+        bernoulli = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730)]
+        for divisor, weights, remainder in (
+            (lambda m: m * (m - 1), gamma_core._LN_GAMMA_WEIGHTS, gamma_core._LN_GAMMA_REMAINDER),
+            (lambda m: m, gamma_core._DIGAMMA_WEIGHTS, gamma_core._DIGAMMA_REMAINDER),
+        ):
+            exact = [float(b / divisor(2 * j)) for j, b in enumerate(bernoulli, 1)]
+            assert (weights, remainder) == (tuple(exact[:-1]), abs(exact[-1]))
+
+    def test_import_loads_no_exact_arithmetic_module(self):
+        # the tables need no fractions (nor the decimal it imports) at import time
+        import os
+        import subprocess
+        import sys
+
+        import pballs
+
+        # only the modules pballs adds after numpy is loaded are pinned
+        code = (
+            "import sys, numpy; before = set(sys.modules); import pballs.cli; "
+            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))"
+        )
+        src = os.path.dirname(os.path.dirname(pballs.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
     def test_wrong_tail_fails_the_doubling_check(self):
         # claiming a zero tail is refuted by the terms between N and 2N
         out = run_truncated_log_sum(_telescoping_chunk, lambda n: (0.0, 0.0))

@@ -50,6 +50,21 @@ class TestFGamma:
         assert r.exponent.p == 1.5
         assert r.converged
 
+    def test_kept_exponent_terms_change_no_bit(self):
+        # one reused Exponent against a fresh one per call, and against the
+        # closed form's eight ln Gamma values summed in its printed order
+        lg = math.lgamma
+        for p in (1.0, 1.0 + 1e-7, 1.05, 1.5, 2.0, 3.0, 1e3, 1e6, math.inf):
+            e = Exponent(p)
+            for n in (1, 2, 7, 100, 10**3, 10**6):
+                got, fresh = f_gamma(n, e), f_gamma(n, p)
+                assert (got.value.hex(), got.error_estimate.hex()) == (fresh.value.hex(), fresh.error_estimate.hex())
+                if e.t == 0.0:
+                    continue
+                a, b = ([lg(3.0 / x), lg(1.0 + n / x), -lg(1.0 / x), -lg(1.0 + (n + 2) / x)] for x in (e.p, e.q))
+                log_f = math.log(n) + a[0] + b[0] + a[1] + b[1] + a[2] + b[2] + a[3] + b[3]
+                assert got.value.hex() == math.exp(log_f).hex()
+
     def test_conjugate_symmetry(self):
         for n, p in [(2, 1.5), (5, 1.25), (17, 1.9)]:
             e = Exponent(p)
@@ -306,6 +321,14 @@ class TestKuperbergVerdict:
         assert margin < 0.0
         exact = cell._replace(error_estimate=0.0, value=bound + 1e-16)
         assert not kuperberg_verdict(exact)[0]
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5])
+    def test_hand_built_record_with_a_bad_dimension_is_refused(self, n):
+        # the verdict validates the record's n, so a record built by hand
+        # cannot pass with a ceiling no dimension has
+        cell = f_gamma(5, 2.0)._replace(n=n)
+        with pytest.raises(ValueError, match="dimension"):
+            kuperberg_verdict(cell)
 
 
 class TestMcAgrees:

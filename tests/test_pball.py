@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,17 @@ class TestExponent:
         assert 0.0 <= e.t <= 0.25
         assert e.conjugate().conjugate().p == e.p
 
+    @pytest.mark.parametrize("p", [1.0 + 1e-7, 1.05, 1.5, 2.0, 3.0, 1e3, 1e6])
+    def test_kept_terms_follow_conjugation(self, p):
+        e = Exponent(p)
+        before = (e == Exponent(p), hash(e), repr(e))
+        early = e.conjugate()  # made before e keeps its terms
+        terms = e._side_terms()
+        assert terms == tuple((math.lgamma(3.0 / x), -math.lgamma(1.0 / x)) for x in (e.p, e.q))
+        assert (e == Exponent(p), hash(e), repr(e)) == before
+        assert e.conjugate().conjugate()._side_terms() == terms
+        assert e.conjugate()._side_terms() == early._side_terms() == terms[::-1]
+
 
 class TestDimension:
     @pytest.mark.parametrize("n", [0, -1, 2.5, MAX_DIMENSION + 1, math.inf, -math.inf])
@@ -81,6 +93,38 @@ class TestDimension:
     def test_accepts_bounds(self):
         assert check_dimension(1) == 1
         assert check_dimension(MAX_DIMENSION) == MAX_DIMENSION
+
+    @pytest.mark.parametrize(
+        "n", [1, 7, MAX_DIMENSION, True, np.int64(3), 2.0, 0, -1, MAX_DIMENSION + 1, 2.5, math.inf, math.nan, "3"]
+    )
+    def test_int_fast_path_changes_no_result(self, n):
+        # every input gives the value and type, or the ValueError text, of the
+        # checks made without the exact-int shortcut: every input through _whole
+        def whole(x):
+            try:
+                if x == int(x):
+                    return int(x)
+            except (OverflowError, ValueError):
+                pass
+            raise ValueError(f"dimension must be an integer, got {x!r}")
+
+        def slow_path(x):
+            x = whole(x)
+            if x < 1:
+                raise ValueError(f"dimension must be >= 1, got {x}")
+            if x > MAX_DIMENSION:
+                raise ValueError(f"dimension {x} exceeds the supported cap {MAX_DIMENSION}")
+            return x
+
+        try:
+            expected = slow_path(n)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                check_dimension(n)
+            assert str(got.value) == str(exc)
+        else:
+            got = check_dimension(n)
+            assert (got, type(got)) == (expected, type(expected))
 
 
 class TestVolume:
@@ -166,3 +210,16 @@ class TestNormalizedSecondMoment:
         for n, p in [(3, 1.5), (7, 2.5), (2, 1.0)]:
             ratio = second_moment_integral(n, p) / volume(n, p)
             assert normalized_second_moment(n, p) == pytest.approx(ratio, rel=1e-12)
+
+    def test_kept_exponent_terms_change_no_bit(self):
+        # one reused Exponent against a fresh one per call, and against the
+        # four ln Gamma values summed directly
+        for p in (1.0, 1.0 + 1e-7, 1.05, 1.5, 2.0, 3.0, 1e3, 1e6, math.inf):
+            e = Exponent(p)
+            for n in (1, 2, 7, 100, 10**3, 10**6):
+                got = normalized_second_moment(n, e)
+                assert got.hex() == normalized_second_moment(n, p).hex()
+                if 1.0 < e.p < math.inf:
+                    lg = math.lgamma
+                    direct = math.exp(lg(3.0 / e.p) + lg(1.0 + n / e.p) - lg(1.0 / e.p) - lg(1.0 + (n + 2) / e.p))
+                    assert got.hex() == direct.hex()
