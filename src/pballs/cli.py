@@ -1,10 +1,12 @@
-"""Command-line front end: evaluate, scan, and verify over (n, p) grids.
+"""Command-line front end: scan (n, p) grids and run verification suites.
 
+``eval`` is another name for ``scan``: one (n, p) cell is a grid of one.
 Output is machine-readable: CSV by default, line-delimited JSON with
 --format json.  Rows carry exactly the documented fields in a fixed order,
 floats print with 17 significant digits, and identical invocations produce
 identical bytes.  Exit status is 0 iff every verdict in the emitted report
-passed.
+passed; bad input raises ValueError, reported as ``error: ...`` with exit
+status 2.
 """
 
 from __future__ import annotations
@@ -82,20 +84,20 @@ def _parse_p(token: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad exponent {token!r}: expected a decimal literal or 'inf'")
+        raise ValueError(f"bad exponent {token!r}: expected a decimal literal or 'inf'")
     if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"bad exponent {token!r}: not a number")
+        raise ValueError(f"bad exponent {token!r}: not a number")
     if math.isinf(value):
-        raise argparse.ArgumentTypeError(f"bad exponent {token!r}: use the token 'inf' for infinity")
+        raise ValueError(f"bad exponent {token!r}: use the token 'inf' for infinity")
     if value < 1.0:
-        raise argparse.ArgumentTypeError(f"exponent must be >= 1, got {token}")
+        raise ValueError(f"exponent must be >= 1, got {token}")
     return value
 
 
 def _parse_p_list(text: str) -> list[float]:
     out = [_parse_p(tok) for tok in text.split(",") if tok != ""]
     if not out:
-        raise argparse.ArgumentTypeError(f"no exponents in {text!r}")
+        raise ValueError(f"no exponents in {text!r}")
     return out
 
 
@@ -107,17 +109,17 @@ def _parse_n_list(text: str) -> list[int]:
         try:
             ends = [int(end) for end in tok.split("..", 1)]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad dimension {tok!r}: expected an integer or a range a..b")
+            raise ValueError(f"bad dimension {tok!r}: expected an integer or a range a..b")
         if len(ends) == 2:
             # validated before range() so a huge range fails at once
             lo, hi = (check_dimension(end) for end in ends)
             if hi < lo:
-                raise argparse.ArgumentTypeError(f"empty range {tok!r}")
+                raise ValueError(f"empty range {tok!r}")
             out.extend(range(lo, hi + 1))
         else:
             out += ends
     if not out:
-        raise argparse.ArgumentTypeError(f"no dimensions in {text!r}")
+        raise ValueError(f"no dimensions in {text!r}")
     return out
 
 
@@ -152,12 +154,6 @@ def _mc_from_args(args) -> MCConfig | None:
     if args.samples is None:
         return None
     return MCConfig(samples=args.samples, seed=args.seed, streams=args.streams)
-
-
-def cmd_eval(args) -> int:
-    row, _ = build_report_row(args.n, _parse_p(args.p), _mc_from_args(args))
-    _emit_rows([row], args.format, sys.stdout)
-    return 0 if all(row.verdicts()) else 1
 
 
 def cmd_scan(args) -> int:
@@ -211,14 +207,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = subs.add_parser("eval", help="one (n, p) cell")
-    p_eval.add_argument("--n", required=True, type=int)
-    p_eval.add_argument("--p", required=True, help="decimal exponent or 'inf'")
-    p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_mc_flags(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_scan = subs.add_parser("scan", help="grid of (n, p) cells")
+    p_scan = subs.add_parser("scan", aliases=["eval"], help="grid of (n, p) cells")
     p_scan.add_argument("--n", required=True, help="dimension(s): e.g. 3 or 2..5 or 1,4,9")
     p_scan.add_argument("--p", required=True, help="exponent(s): comma list of decimals or 'inf'")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -238,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -92,9 +92,10 @@ def _stream_rng(seed: int, key: tuple) -> np.random.Generator:
 def sample_ball(n, p, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None):
     """Draw uniform points from the unit p-ball in R^n.
 
-    Returns shape (n,) for size=None, else (size, n).  out, if given, is a
-    C-contiguous float64 array of shape (size, n) that receives the points
-    and is returned; the draws are the same either way.  Membership
+    Returns shape (n,) for size=None, else (size, n).  out, if given, must
+    be a writeable, aligned, C-contiguous float64 array of shape (size, n),
+    else ValueError; it receives the points in row-major order and is
+    returned, and the draws are the same either way.  Membership
     sum |x_i|^p <= 1 holds by construction.  Each path's generator calls
     are part of the seeded draw order: p = inf draws (size, n) uniforms;
     p = 2 draws (size, n) standard normals, then size exponentials; any
@@ -114,8 +115,11 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None, out: np
     m = 1 if size is None else _whole(size, "size")
     if m < 1:
         raise ValueError("size must be >= 1")
-    if out is not None and out.shape != (m, n):
-        raise ValueError(f"out must have shape ({m}, {n}), not {out.shape}")
+    if out is not None:
+        if out.shape != (m, n):
+            raise ValueError(f"out must have shape ({m}, {n}), not {out.shape}")
+        if out.dtype != np.float64 or not out.flags.carray:
+            raise ValueError("out must be a writeable, aligned, C-contiguous float64 array")
     x = np.empty((m, n)) if out is None else out
     if math.isinf(e.p):
         rng.random(out=x)

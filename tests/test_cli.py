@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pballs.cli import CSV_HEADER, main
+from pballs.cli import CSV_HEADER, _parse_p, main
 
 MC_FLAGS = ["--samples", "40000", "--seed", "11", "--streams", "4"]
 
@@ -80,6 +80,39 @@ class TestEval:
     def test_bad_dimension_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--n", "0", "--p", "2")
         assert code == 2
+
+
+EVAL_AS_SCAN_ARGS = [
+    "--n 2 --p 2",
+    "--n 3 --p inf --format json",
+    "--n 7 --p 1.3 --samples 99999 --seed 11 --streams 3",
+    "--n 100000 --p 2.5 --samples 64 --seed 2 --streams 2 --format json",
+    "--n 1 --p 9",
+    "--n 0 --p 2",
+    "--n 2 --p=0.5",
+    "--n 2 --p=nan",
+    "--n 2 --p=infinity",
+    "--n 2 --p 2 --samples 0",
+    "--n 1000000 --p 1.0000001",
+    "--n 5 --p 1.5 --samples 8 --streams 3",
+]
+
+
+class TestEvalIsScan:
+    @pytest.mark.parametrize("args", EVAL_AS_SCAN_ARGS)
+    def test_same_bytes_and_exit_code(self, capsys, args):
+        assert run_cli(capsys, "eval", *args.split()) == run_cli(capsys, "scan", *args.split())
+
+    def test_eval_takes_a_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--n", "2..3", "--p", "1.5,2")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == CSV_HEADER
+        assert [row.split(",")[:2] for row in rows] == [["2", "1.5"], ["2", "2"], ["3", "1.5"], ["3", "2"]]
+
+    def test_parse_helpers_raise_value_error(self):
+        with pytest.raises(ValueError, match="^bad exponent 'nan': not a number$"):
+            _parse_p("nan")
 
 
 class TestScan:

@@ -88,6 +88,23 @@ class TestSampleBall:
         with pytest.raises(ValueError):
             sample_ball(3, 2.0, _stream_rng(3, (0,)), size=5, out=np.empty(shape))
 
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, math.inf])
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((4, 3), order="F"),
+            np.empty((4, 3), dtype=np.float32),
+            np.empty((4, 6))[:, ::2],
+            np.frombuffer(bytes(8 * 4 * 3)).reshape(4, 3),
+        ],
+        ids=["fortran", "float32", "strided", "read-only"],
+    )
+    def test_out_it_cannot_fill_in_row_major_order_is_rejected(self, p, out):
+        # NumPy's own out= checks would let a Fortran-order array through at
+        # p in {2, inf} and fill it with points other than the out=None draws
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            sample_ball(3, p, np.random.default_rng(5), size=4, out=out)
+
     def test_one_dimensional_p2_moment(self):
         # B_2^1 is just [-1, 1], so E[x^2] = 1/3
         rng = _stream_rng(11, (0,))
