@@ -27,12 +27,9 @@ def _quadratics(n: float, t: float, k: np.ndarray):
     k*k is computed once; each g_k is (k*k + m*k) + m^2*t, added in that
     order in place.
     """
-    m = n + 2.0
     kk = k * k
-    g1 = kk + k
-    g1 += t
-    out = [g1]
-    for c in (3.0, n, m):
+    out = []
+    for c in (1.0, 3.0, n, n + 2.0):
         g = np.multiply(c, k)
         g += kk
         g += c * c * t

@@ -323,7 +323,9 @@ def monotone_verdict(results) -> MonotonicityScan:
 
     The exponents must increase strictly and lie on one side of 2; f must
     rise on [1, 2] and fall on [2, inf], the side read from the exponents.
-    A step is judged only beyond its two results' summed error_estimates.
+    A step is judged only beyond its two results' summed error_estimates;
+    a step that cannot be compared (a NaN value or error_estimate) counts as
+    a violation.
     Results from no dimension or from several, and a grid that straddles 2,
     raise ValueError; a single result is ordered.
     """
@@ -345,7 +347,7 @@ def monotone_verdict(results) -> MonotonicityScan:
         # results' summed error_estimates could fake or hide a step that small
         step = b.value - a.value if rising else a.value - b.value
         slack = a.error_estimate + b.error_estimate
-        if step < -slack:
+        if not step >= -slack:
             monotone = strict = False
         elif n >= 2 and not step > slack:
             strict = False

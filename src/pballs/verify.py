@@ -13,6 +13,8 @@ run the driver's one fixed contract (MAX_TERMS, REL_TOL in
 one :class:`~pballs.montecarlo.MCConfig` and gives the chunked reducer of
 :mod:`pballs.montecarlo` the exponents to draw and the statistics to
 reduce; the reducer draws every point, and this module calls no sampler.
+A check that reduces its cells to a worst deviation fails, and prints
+``nan``, when one of its deviations is NaN or when it judged no cell.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ class Check(NamedTuple):
 
 def _check(name: str, passed: bool, detail: str) -> Check:
     return Check(name, bool(passed), detail)
+
+
+def _worst(devs) -> float:
+    """The largest deviation; nan, which fails every ``<=`` limit, when there is none or one is nan."""
+    devs = list(devs)
+    return max(devs) if devs and not any(map(math.isnan, devs)) else math.nan
+
+
+def _rel_dev(got: float, target: float) -> float:
+    return abs(got - target) / target
 
 
 # --------------------------------------------------------------------------
@@ -103,37 +115,27 @@ def _geomspace(lo: float, hi: float, count: int) -> list[float]:
 def suite_endpoints() -> list[Check]:
     checks = []
 
-    worst = 0.0
     two = as_exponent(2.0)
-    for n in range(1, 101):
-        target = n / ((n + 2) ** 2)
-        got = f_gamma(n, two).value
-        worst = max(worst, abs(got - target) / target)
+    worst = _worst(_rel_dev(f_gamma(n, two).value, n / ((n + 2) ** 2)) for n in range(1, 101))
     checks.append(_check(
         "self-dual-value", worst <= 1e-12,
         f"f(n,2) vs n/(n+2)^2 for n=1..100, worst rel dev {worst:.3g}",
     ))
 
-    worst = 0.0
     ends = (as_exponent(1.0), as_exponent(math.inf))
-    for n in range(1, 101):
-        # n * E[x1^2] on B_1^n * E[y1^2] on B_inf^n, from the balls' Dirichlet formulas
-        target = n * math.prod(second_moment_integral(n, p) / volume(n, p) for p in ends)
-        for p in ends:
-            for route in (f_gamma, f_product):
-                worst = max(worst, abs(route(n, p).value - target) / target)
+    # n * E[x1^2] on B_1^n * E[y1^2] on B_inf^n, from the balls' Dirichlet formulas
+    targets = {n: n * math.prod(second_moment_integral(n, p) / volume(n, p) for p in ends)
+               for n in range(1, 101)}
+    worst = _worst(_rel_dev(route(n, p).value, target)
+                   for n, target in targets.items() for p in ends for route in (f_gamma, f_product))
     checks.append(_check(
         "endpoint-value", worst <= 1e-12,
         "f(n,1), f(n,inf) by both routes vs n*m(n,1)*m(n,inf), m the ball's mean x1^2, "
         f"for n=1..100, worst rel dev {worst:.3g}",
     ))
 
-    worst = 0.0
     near = as_exponent(1.0 + 1e-6)
-    for n in range(1, 21):
-        target = f_endpoint(n)
-        got = f_gamma(n, near).value
-        worst = max(worst, abs(got - target) / target)
+    worst = _worst(_rel_dev(f_gamma(n, near).value, f_endpoint(n)) for n in range(1, 21))
     checks.append(_check(
         "endpoint-continuity", worst <= 1e-4,
         f"f(n, 1+1e-6) vs endpoint value for n=1..20, worst rel dev {worst:.3g}",
@@ -148,7 +150,7 @@ def suite_endpoints() -> list[Check]:
 def suite_routes() -> list[Check]:
     checks = []
 
-    worst_share = 0.0
+    shares = []
     disagree = 0
     route_grid = [as_exponent(p) for p in ROUTE_P_GRID]
     for n in range(1, 51):
@@ -157,36 +159,28 @@ def suite_routes() -> list[Check]:
             fp = f_product(n, p)
             dev = abs(fg.value - fp.value)
             allowed = fg.error_estimate + fp.error_estimate
-            if dev > 0.0:
-                worst_share = max(worst_share, dev / allowed if allowed else math.inf)
+            shares.append(0.0 if dev == 0.0 else dev / allowed if allowed else math.inf)
             disagree += not routes_agree(fg, fp)
+    worst_share = _worst(shares)
     checks.append(_check(
         "route-equivalence", disagree == 0,
         "gamma vs product on n=1..50 x p={1,1.1,1.25,1.5,1.75,2} within the sum of their bounds, "
         f"{disagree} cells disagree, worst dev/allowance {worst_share:.3g}",
     ))
 
-    worst = 0.0
-    for i in range(1, 21):
-        n = i
-        p = 1.025 + 0.0475 * (i - 1)
-        e = as_exponent(p)
-        a = f_gamma(n, e).value
-        b = f_gamma(n, e.conjugate()).value
-        worst = max(worst, abs(a - b) / a)
+    pairs = [(n, as_exponent(1.025 + 0.0475 * (n - 1))) for n in range(1, 21)]
+    worst = _worst(_rel_dev(f_gamma(n, e.conjugate()).value, f_gamma(n, e).value) for n, e in pairs)
     checks.append(_check(
         "conjugate-symmetry", worst <= 1e-12,
         f"f(n,p) vs f(n,q) on 20 pairs with p in (1,2), worst rel dev {worst:.3g}",
     ))
 
-    worst_share = 0.0
-    cells = 0
+    shares = []
     for x in GAMMA_RATIO_X_GRID:
         for a in GAMMA_RATIO_A_GRID:
             s = x + a
             if s <= 0.0 and s == math.floor(s):
                 continue  # gamma pole, excluded by the operation's domain
-            cells += 1
             if a == 0.0:
                 ref_sign, ref_log, ref_size = 1.0, 0.0, 0.0
             else:
@@ -199,10 +193,11 @@ def suite_routes() -> list[Check]:
             dev = abs(math.log(abs(got.value)) - ref_log) if got.value != 0.0 else math.inf
             # the product's bound plus the log-gamma reference's own rounding
             allowed = got.tail_bound + GAMMA_ROUNDING_ULPS * EPS * (1.0 + ref_size)
-            worst_share = max(worst_share, dev / allowed if sign_ok else math.inf)
+            shares.append(dev / allowed if sign_ok else math.inf)
+    worst_share = _worst(shares)
     checks.append(_check(
         "gamma-ratio-product", worst_share <= 1.0,
-        f"product vs log-gamma route on {cells} (x,a) cells, "
+        f"product vs log-gamma route on {len(shares)} (x,a) cells, "
         f"worst log-dev/allowance {worst_share:.3g}",
     ))
 
@@ -270,28 +265,18 @@ def suite_monotonicity() -> list[Check]:
         "f strictly decreasing on 21-point grid in [2,100]+{inf} for n=2..20",
     ))
 
-    worst = 0.0
-    for p in (1.0, 1.3, 2.0, 5.0, math.inf):
-        worst = max(worst, abs(f_cell(1, p).value - 1.0 / 9.0) * 9.0)
+    worst = _worst(abs(f_cell(1, p).value - 1.0 / 9.0) * 9.0 for p in (1.0, 1.3, 2.0, 5.0, math.inf))
     checks.append(_check(
         "constant-at-n1", worst <= 1e-12,
         f"f(1,p) = 1/9 across p grid, worst rel dev {worst:.3g}",
     ))
 
-    sign_ok = True
-    bad = []
-    for n in range(2, 21):
-        for t in SIGN_T_GRID:
-            report = derivative_sign_series(n, t)
-            fd = _fd_derivative_sign(f_cell, n, t)
-            agrees = report.sign == Sign.POSITIVE and fd > 0.0
-            if not agrees:
-                sign_ok = False
-                bad.append((n, t))
+    bad = [(n, t) for n in range(2, 21) for t in SIGN_T_GRID
+           if not (derivative_sign_series(n, t).sign == Sign.POSITIVE
+                   and _fd_derivative_sign(f_cell, n, t) > 0.0)]
     n1 = derivative_sign_series(1, 0.2)
-    n1_ok = n1.sign is Sign.ZERO
     checks.append(_check(
-        "derivative-sign", sign_ok and n1_ok,
+        "derivative-sign", not bad and n1.sign is Sign.ZERO,
         "series sign vs closed-form difference for n=2..20, t in {0.01,0.05,0.1,0.2,0.25}"
         + (f", disagreements {bad}" if bad else "")
         + f"; n=1 series value {n1.series_value:.3g}",
@@ -319,10 +304,7 @@ def suite_ineq3() -> list[Check]:
 # limit check
 
 def suite_remark_limit() -> list[Check]:
-    worst = 0.0
-    for n in range(1, 21):
-        got = remark_limit_check(n, 1e6)
-        worst = max(worst, abs(got - (n + 2) / 3.0))
+    worst = _worst(abs(remark_limit_check(n, 1e6) - (n + 2) / 3.0) for n in range(1, 21))
     return [_check(
         "gamma-ratio-limit", worst <= 1e-4,
         f"ratio at q=1e6 vs (n+2)/3 for n=1..20, worst abs dev {worst:.3g}",
@@ -368,7 +350,7 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
     checks = []
 
     ok = True
-    worst_pull = 0.0
+    pulls = []
     idx = 0
     for n in range(1, 6):
         for p in MC_P_GRID:
@@ -376,7 +358,8 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
             idx += 1
             target = f_gamma(n, p).value
             ok &= mc_agrees(est, target)
-            worst_pull = max(worst_pull, _pull(est.mean - target, est.std_error))
+            pulls.append(_pull(est.mean - target, est.std_error))
+    worst_pull = _worst(pulls)
     checks.append(_check(
         "mc-estimate", ok,
         f"estimate_f vs closed form on n=1..5 x p={{1,1.4,2,3,inf}} "
@@ -408,8 +391,9 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
             moment_pulls += [_pull(sq.mean - target, sq.std_error), _pull(x1.mean, x1.std_error)]
             exchange_pulls += [_pull(d.mean, d.std_error) for d in differences]
     max_norm = float(np.max(norm_maxima, initial=0.0))  # a NaN norm stays and fails
-    # with no pull computed both checks fail: nan compares false
-    worst_pull = max(moment_pulls, default=math.nan)
+    worst_pull = _worst(moment_pulls)
+    worst_exchange = _worst(exchange_pulls)
+    exchange_ok = worst_exchange <= SAMPLER_STD_ERRORS
     checks.append(_check(
         "mc-sampler-moments", worst_pull <= SAMPLER_STD_ERRORS,
         f"E[x1^2] vs closed form and E[x1] vs 0 at {SAMPLER_STD_ERRORS:g} s.e., "
@@ -420,8 +404,9 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
         f"all sampled points inside the closed ball, max norm {max_norm:.17g}",
     ))
     checks.append(_check(
-        "mc-exchangeability", max(exchange_pulls, default=math.nan) <= SAMPLER_STD_ERRORS,
-        f"E[x1^2] vs E[x2^2] within combined {SAMPLER_STD_ERRORS:g} s.e. bands",
+        "mc-exchangeability", exchange_ok,
+        f"E[x1^2] vs E[x2^2] within combined {SAMPLER_STD_ERRORS:g} s.e. bands"
+        + ("" if exchange_ok else f", worst |pull| {worst_exchange:.2f}"),
     ))
 
     ok = True

@@ -286,6 +286,7 @@ class TestVerify:
         assert "FAIL mc-sampler-moments" in out
         assert "no pull computed from fewer than 2 samples" in out
         assert "FAIL mc-exchangeability" in out
+        assert "bands, worst |pull| nan" in out
         assert "OVERALL: FAIL" in out
 
     def test_format_is_a_usage_error(self, capsys):

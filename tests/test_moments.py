@@ -289,6 +289,14 @@ class TestMonotoneVerdict:
         wrong = monotone_verdict([_cell(3, 1.5, 0.1, 1e-9), _cell(3, 1.6, 0.1 - 3e-9, 1e-9)])
         assert not wrong.monotone
 
+    @pytest.mark.parametrize("field", ["value", "error_estimate"])
+    def test_step_that_cannot_be_compared_is_a_violation(self, field):
+        results = _gamma_results(5, [1.0, 1.5, 2.0])
+        results[1] = results[1]._replace(**{field: math.nan})
+        verdict = monotone_verdict(results)
+        assert not verdict.monotone and not verdict.strict
+        assert verdict.first_violation == (1.0, 1.5)
+
 
 class TestKuperbergCheck:
     def test_equality_at_self_dual(self):

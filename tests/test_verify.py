@@ -1,13 +1,16 @@
 """The verify suites' own machinery: the per-term certificate against
-mutated expansions, and each grid cell evaluated once."""
+mutated expansions, each grid cell evaluated once, and a NaN deviation
+failing the check that reduces it."""
 
 import collections
 import inspect
+import math
 import textwrap
 
 import pytest
 
 from pballs import moments, verify
+from pballs.montecarlo import MCConfig
 from pballs.pball import Exponent
 
 
@@ -64,3 +67,49 @@ class TestEachCellOnce:
         monkeypatch.setattr(Exponent, "__init__", counting)
         verify.suite_monotonicity()
         assert builds <= 100
+
+
+def _p(p):
+    return p.p if isinstance(p, Exponent) else float(p)
+
+
+def _nan_value(result):
+    return result._replace(value=math.nan)
+
+
+def _nan_difference(estimates):
+    sq, x1, difference, *rest = estimates
+    return (sq, x1, difference._replace(mean=math.nan), *rest)
+
+
+# (check, suite, verify's global, the cell it spoils, how): the route returns
+# its usual figures except NaN at that one cell
+NAN_CASES = [
+    ("self-dual-value", "endpoints", "f_gamma", lambda n, p: n == 7, _nan_value),
+    ("endpoint-value", "endpoints", "f_gamma", lambda n, p: n == 7, _nan_value),
+    ("endpoint-continuity", "endpoints", "f_gamma", lambda n, p: n == 7, _nan_value),
+    ("conjugate-symmetry", "routes", "f_gamma", lambda n, p: n == 7, _nan_value),
+    ("route-equivalence", "routes", "f_gamma", lambda n, p: n == 7, _nan_value),
+    ("constant-at-n1", "monotonicity", "f_gamma", lambda n, p: (n, _p(p)) == (1, 1.3), _nan_value),
+    ("gamma-ratio-product", "routes", "gamma_ratio_product", lambda x, a: (x, a) == (2.0, 0.5), _nan_value),
+    ("gamma-ratio-limit", "remark-limit", "remark_limit_check", lambda n, q: n == 3, lambda r: math.nan),
+    ("mc-estimate", "mc", "f_gamma", lambda n, p: n == 3, _nan_value),
+    ("mc-sampler-moments", "mc", "normalized_second_moment", lambda n, p: (n, _p(p)) == (3, 1.5),
+     lambda r: math.nan),
+    ("mc-exchangeability", "mc", "_stream_means", lambda n, *rest: n == 3, _nan_difference),
+]
+
+
+class TestNaNFailsItsCheck:
+    @pytest.mark.parametrize("name,suite,route,at,spoil", NAN_CASES, ids=[case[0] for case in NAN_CASES])
+    def test_nan_deviation_fails(self, monkeypatch, name, suite, route, at, spoil):
+        original = getattr(verify, route)
+
+        def spoiled(*args):
+            result = original(*args)
+            return spoil(result) if at(*args) else result
+
+        monkeypatch.setattr(verify, route, spoiled)
+        checks = {c.name: c for c in verify.run_suite(suite, MCConfig(samples=4000, seed=3, streams=2))}
+        assert checks[name].passed is False
+        assert "nan" in checks[name].detail
