@@ -23,8 +23,6 @@ import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from ._kernels import gamma_ratio_log
 
 __all__ = [
@@ -198,47 +196,39 @@ def digamma_divided_difference(x: float, h: float) -> tuple[float, float]:
 def run_truncated_log_sum(terms, tail) -> _LogSum:
     """Sum a convergent series as a computed head plus a certified tail.
 
-    ``terms(k_lo, k_hi)`` returns the array of terms k_lo..k_hi;
-    ``tail(N) -> (value, bound)`` is the series' own certified sum over
-    k > N, its bound covering the truncation remainder and the tail's
-    rounding.  The head length N starts at FIRST_HEAD and doubles until the
-    tail bound plus the head's rounding allowance meets REL_TOL, or until it
-    reaches MAX_TERMS // 2, so that a second estimate at 2N stays inside
-    MAX_TERMS; the two estimates must agree within the sum of their bounds.
-    The estimate at N is returned; terms counts every term summed, and
-    confirmed says whether the two estimates agreed.
+    ``terms(k_lo, k_hi)`` returns (sum, size): the sum of the terms
+    k_lo..k_hi and the sum of their absolute values, each summed from k_hi
+    down to k_lo; ``tail(N) -> (value, bound)`` is the series' own
+    certified sum over k > N, its bound covering the truncation remainder
+    and the tail's rounding.  The head length N starts at FIRST_HEAD and
+    doubles until the tail bound plus the head's rounding allowance meets
+    REL_TOL, or until it is MAX_TERMS // 2, so that a second estimate at
+    2N stays inside MAX_TERMS; the two estimates must agree within the sum
+    of their bounds.  The estimate at N is returned; terms counts every
+    term summed, and confirmed says whether the two estimates agreed.
 
-    Each term is evaluated once, one doubling step ahead: an estimate at N
-    that lacks terms asks, in one call, for all of them up to the next head,
-    min(2N, MAX_TERMS // 2), or up to 2N for the doubling check, and keeps
-    those past N for the next estimate.  Each estimate sums its own slice
-    alone, as it summed a call for that range alone, so the bits are those
-    of one call per estimate.
+    Each estimate asks only for the terms past the one before, so each
+    term is evaluated once.  The head is the running sum of those ranges'
+    sums, and its allowance of (N + _ROUNDING_ULPS) ulp of their sizes
+    covers summing in that order.
     """
     budget = MAX_TERMS // 2
 
     head = abs_head = 0.0
     summed = 0
-    empty = ahead = np.empty(0)  # terms summed+1 .. summed+len(ahead), evaluated, not yet summed
 
-    def estimate(k: int, reach: int) -> tuple[float, float]:
-        nonlocal head, abs_head, summed, ahead
-        new = k - summed
-        if len(ahead) < new:
-            fresh = terms(summed + len(ahead) + 1, reach)
-            ahead = np.concatenate((ahead, fresh)) if len(ahead) else fresh
-        part = ahead[:new]
-        # an empty view would hold the evaluated array through the next call
-        ahead = ahead[new:] if len(ahead) > new else empty
-        head += float(part.sum())
-        abs_head += float(np.abs(part).sum())
+    def estimate(k: int) -> tuple[float, float]:
+        nonlocal head, abs_head, summed
+        part, size = terms(summed + 1, k)
+        head += part
+        abs_head += size
         summed = k
         value, bound = tail(k)
         return head + value, bound + (k + _ROUNDING_ULPS) * EPS * abs_head
 
     k = FIRST_HEAD
     while True:
-        total, bound = estimate(k, min(2 * k, budget))
+        total, bound = estimate(k)
         if bound <= REL_TOL:
             stop = "tolerance"
             break
@@ -247,7 +237,7 @@ def run_truncated_log_sum(terms, tail) -> _LogSum:
             break
         k = min(2 * k, budget)
 
-    total2, bound2 = estimate(2 * k, 2 * k)
+    total2, bound2 = estimate(2 * k)
     gap = abs(total2 - total)
     if gap > bound + bound2:
         return _LogSum(total, 2 * k, gap + bound2, "doubling-failed")

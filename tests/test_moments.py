@@ -114,8 +114,8 @@ class TestFProduct:
 
         for n in (2, 5, 20, 50):
             for t in (0.05, 0.25):
-                log_f3 = moment_product_log(float(n), t, 1_000, 1_000).sum()
-                log_f4 = moment_product_log(float(n), t, 10_000, 10_000).sum()
+                log_f3 = moment_product_log(float(n), t, 1_000, 1_000)[0]
+                log_f4 = moment_product_log(float(n), t, 10_000, 10_000)[0]
                 c_fit = 1.1 * abs(log_f3) * 1_000.0**2
                 assert abs(math.expm1(log_f4)) <= c_fit / 10_000.0**2
 

@@ -90,6 +90,7 @@ NAN_CASES = [
     ("endpoint-continuity", "endpoints", "f_gamma", lambda n, p: n == 7, _nan_value),
     ("conjugate-symmetry", "routes", "f_gamma", lambda n, p: n == 7, _nan_value),
     ("route-equivalence", "routes", "f_gamma", lambda n, p: n == 7, _nan_value),
+    ("kuperberg-bound", "monotonicity", "f_gamma", lambda n, p: (n, _p(p)) == (7, 2.0), _nan_value),
     ("constant-at-n1", "monotonicity", "f_gamma", lambda n, p: (n, _p(p)) == (1, 1.3), _nan_value),
     ("gamma-ratio-product", "routes", "gamma_ratio_product", lambda x, a: (x, a) == (2.0, 0.5), _nan_value),
     ("gamma-ratio-limit", "remark-limit", "remark_limit_check", lambda n, q: n == 3, lambda r: math.nan),
