@@ -168,7 +168,7 @@ def cmd_scan(args) -> int:
     for row, closed in cells:
         by_n.setdefault(row.n, {})[row.p] = closed
     # each distinct dimension is judged once per side of 2 on which at least
-    # two of its distinct results (after snapping) fall
+    # two of its distinct results fall
     sides = (
         ("nondecreasing on [1,2]", lambda p: p <= 2.0),
         ("nonincreasing on [2,inf]", lambda p: p >= 2.0),

@@ -33,7 +33,8 @@ on [2, inf], a step counting only beyond the two cells' summed errors (on
 product results, this is also the paper's comparator order of P(R), P(S));
 ``routes_agree`` holds the closed form and the product to each other within
 their two bounds, on a product bound that met REL_TOL; ``mc_agrees`` holds a
-Monte Carlo estimate to a value within MC_STD_ERRORS standard errors.  The
+Monte Carlo estimate to a value within MC_STD_ERRORS standard errors, its
+gap measured by ``mc_pull``, the one pull every Monte Carlo verdict reads.  The
 CLI and the verify suites call these rules on their own grids.
 """
 
@@ -70,6 +71,7 @@ __all__ = [
     "kuperberg_bound",
     "kuperberg_verdict",
     "mc_agrees",
+    "mc_pull",
     "remark_limit_check",
 ]
 
@@ -368,9 +370,16 @@ def kuperberg_verdict(result: MomentResult) -> tuple[bool, float]:
     return result.value - result.error_estimate <= bound, bound - result.value
 
 
+def mc_pull(gap: float, std_error: float) -> float:
+    """|gap| in standard errors: at zero error 0 for no gap and inf otherwise; nan for a nan error."""
+    if std_error == 0.0:
+        return math.inf if gap else 0.0
+    return abs(gap) / std_error
+
+
 def mc_agrees(estimate, value: float) -> bool:
     """Whether a Monte Carlo estimate lies within MC_STD_ERRORS standard errors of value."""
-    return abs(estimate.mean - value) <= MC_STD_ERRORS * estimate.std_error
+    return mc_pull(estimate.mean - value, estimate.std_error) <= MC_STD_ERRORS
 
 
 def remark_limit_check(n, q_large: float) -> float:

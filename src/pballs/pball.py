@@ -28,10 +28,6 @@ MAX_DIMENSION = 10**6
 
 _LN2 = math.log(2.0)
 
-# Below p = 1 + 1e-12 the parameter t = (p-1)/p^2 has no float precision
-# left, and the endpoint closed forms are exact; snap to p = 1.
-_SNAP_WIDTH = 1e-12
-
 # Largest n for which the exact integer-ratio endpoint formulas are used;
 # beyond it p = 1 takes the general log-space route, whose results
 # underflow to 0.0 there anyway.
@@ -46,6 +42,10 @@ class Exponent:
     closed form's n-free ln Gamma terms of each side (``_side_terms``).
     ``conjugate`` swaps the stored pairs, so conjugation is an exact
     involution and t is exactly conjugation-invariant.
+
+    Only p = 1 and p = inf are endpoints (t = 0); every other p keeps its own
+    q and t.  Near 1, p - 1 is exact (Sterbenz), so t is within two roundings
+    and q = p/(p-1) is finite, at most 2**52 + 1.
     """
 
     __slots__ = ("p", "q", "t", "_terms")
@@ -54,8 +54,6 @@ class Exponent:
         p = float(p)
         if math.isnan(p) or p < 1.0:
             raise ValueError(f"exponent must lie in [1, inf], got {p}")
-        if p < 1.0 + _SNAP_WIDTH:
-            p = 1.0
         if math.isinf(p):
             q, t = 1.0, 0.0
         elif p == 1.0:

@@ -219,11 +219,11 @@ class TestScan:
         assert out == ""
         assert err == "error: no exponents in ','\n"
 
-    def test_exponents_that_snap_together(self, capsys):
-        # 1.0000000000001 snaps to p = 1, so the side has two distinct exponents
+    def test_exponent_just_above_one_keeps_its_own_p(self, capsys):
+        # only p = 1 itself is the endpoint: 1.0000000000001 is its own exponent
         code, out, err = run_cli(capsys, "scan", "--n", "3", "--p", "1,1.0000000000001,1.5")
         assert code == 0
-        assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["1", "1", "1.5"]
+        assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["1", "1.0000000000000999", "1.5"]
         assert err == "# ok: monotone nondecreasing on [1,2] for n=3\n"
 
 

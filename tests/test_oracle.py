@@ -31,16 +31,15 @@ DIGITS = 40
 
 
 def f_reference(n: int, p: float):
-    """f(n, p) to 40 digits at the exponent the library evaluates.
+    """f(n, p) to 40 digits at the caller's p, with no use of the library's Exponent.
 
-    Exponents below 1 + 1e-12 snap to p = 1, where f is the exact
-    endpoint value 2n/(3(n+1)(n+2)).
+    Only p = 1 and p = inf are endpoints, where f is the exact value
+    2n/(3(n+1)(n+2)); every other p is evaluated at its own conjugate.
     """
-    e = Exponent(p)
     with mpmath.workdps(DIGITS):
-        if e.t == 0.0:
+        if p == 1.0 or math.isinf(p):
             return mpmath.mpf(2 * n) / (3 * (n + 1) * (n + 2))
-        pp = mpmath.mpf(e.p)
+        pp = mpmath.mpf(p)
         qq = pp / (pp - 1)
         nn = mpmath.mpf(n)
         lg = mpmath.loggamma
@@ -90,21 +89,38 @@ def test_closed_form_bound_and_route_agreement(n, p):
     assert routes_agree(fg, f_product(n, p))
 
 
-endpoint_exponents = st.one_of(
-    st.floats(min_value=1.0, max_value=1.0 + 1e-12, exclude_max=True),
-    st.just(math.inf),
+# exponents just above 1, with a share of draws in (1, 1 + 1e-12)
+near_one = st.one_of(
+    st.floats(min_value=1.0, max_value=1.0 + 1e-9, exclude_min=True),
+    st.floats(min_value=1.0, max_value=1.0 + 1e-12, exclude_min=True),
 )
 
 
-@given(dimensions, st.floats(min_value=1.0 + 1e-12, max_value=1.0 + 4e-12, exclude_min=True))
+@given(dimensions, near_one)
+@settings(max_examples=40, deadline=None)
+def test_routes_hold_their_bounds_just_above_one(n, p):
+    # every p > 1 is evaluated at its own t: each route lies within its
+    # error_estimate plus one ulp of the reference at the caller's p
+    ref = f_reference(n, p)
+    fp = f_product(n, p)
+    for r in (f_gamma(n, p), fp):
+        assert float(abs(mpmath.mpf(r.value) - ref)) <= r.error_estimate + EPS * float(ref)
+    assert fp.converged
+
+
+endpoint_exponents = st.sampled_from([1.0, math.inf])
+
+
+@given(dimensions, st.floats(min_value=1.0, max_value=1.0 + 4e-12, exclude_min=True))
 @settings(max_examples=200, deadline=None)
-def test_routes_continuous_across_the_snap_width(n, p):
-    # just above the snap both routes stay within t * 2 H_{n+2} of the
+def test_routes_continuous_at_the_endpoint(n, p):
+    # just above p = 1 both routes stay within t * 2 H_{n+2} of the
     # endpoint value in log, plus their own error: d ln f/dt at t = 0 is
     # S(n, 0) = 1 + (n+2) H_{n+2} - 3 H_3 - n H_n < 2 H_{n+2} - 2.5
-    t = Exponent(p).t
     slope = 2.0 * float(mpmath.harmonic(n + 2))
     with mpmath.workdps(DIGITS):
+        pp = mpmath.mpf(p)
+        t = float((pp - 1) / (pp * pp))
         endpoint = mpmath.mpf(2 * n) / (3 * (n + 1) * (n + 2))
         for r in (f_gamma(n, p), f_product(n, p)):
             jump = float(abs(mpmath.log(mpmath.mpf(r.value) / endpoint)))
@@ -114,8 +130,8 @@ def test_routes_continuous_across_the_snap_width(n, p):
 @given(dimensions, endpoint_exponents)
 @settings(max_examples=200, deadline=None)
 def test_endpoint_routes_are_exact(n, p):
-    # p in [1, 1 + 1e-12) snaps to p = 1; there and at p = inf both
-    # deterministic routes return the exact ratio 2n/(3(n+1)(n+2))
+    # at p = 1 and p = inf both deterministic routes return the exact
+    # ratio 2n/(3(n+1)(n+2))
     for r in (f_gamma(n, p), f_product(n, p)):
         assert r.value == f_endpoint(n)
         assert r.error_estimate == 0.0

@@ -47,10 +47,13 @@ class TestExponent:
             e = Exponent(p)
             assert e.conjugate().t == e.t
 
-    def test_snapping_near_one(self):
-        assert Exponent(1.0 + 1e-13).p == 1.0
-        assert Exponent(1.0 + 1e-13).q == math.inf
-        assert Exponent(1.0 + 1e-6).p != 1.0
+    def test_only_one_itself_is_the_endpoint(self):
+        # p = 1 + 1e-13 keeps its own p, a finite q and t > 0
+        e = Exponent(1.0 + 1e-13)
+        assert e.p == 1.0 + 1e-13
+        assert math.isfinite(e.q) and e.t > 0.0
+        assert Exponent(1.0).q == math.inf
+        assert Exponent(1.0 + 2.0**-52).q == 2.0**52 + 1.0
 
     @pytest.mark.parametrize("p", [0.5, 0.0, -3.0, math.nan])
     def test_validation(self, p):

@@ -98,6 +98,8 @@ NAN_CASES = [
     ("mc-sampler-moments", "mc", "normalized_second_moment", lambda n, p: (n, _p(p)) == (3, 1.5),
      lambda r: math.nan),
     ("mc-exchangeability", "mc", "_stream_means", lambda n, *rest: n == 3, _nan_difference),
+    ("mc-estimator-consistency", "mc", "estimate_f_factored", lambda n, *rest: n == 3,
+     lambda r: r._replace(mean=math.nan)),
 ]
 
 
