@@ -25,7 +25,7 @@ at most _CHUNK_ELEMENTS coordinates per sample_ball call; the cap is part
 of the draw order.  Each worker draws every chunk into one buffer of one
 chunk that the caller allocates, so memory is about workers x one chunk at
 any n and sample count.  The reducer is the only caller of sample_ball in
-the package: the estimators and the sampler checks of verify give it the
+the package: the estimators and the Monte Carlo suite of verify give it the
 exponents to draw and the statistics to reduce, and it draws every point.
 """
 
@@ -234,6 +234,11 @@ def _stream_means(n: int, config: MCConfig, key: tuple, exponents: tuple, statis
     return tuple(out)
 
 
+def _inner_square(x, y):
+    """<x, y>^2 of each row pair, the statistic whose mean is f(n, p)."""
+    return np.einsum("ij,ij->i", x, y) ** 2
+
+
 def estimate_f(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
     """Estimate f(n, p) as the mean of <x, y>^2 over independent uniform pairs.
 
@@ -242,7 +247,7 @@ def estimate_f(n, p, config: MCConfig = MCConfig()) -> MCEstimate:
     """
     n = check_dimension(n)
     e = as_exponent(p)
-    return _stream_means(n, config, (), (e, e.conjugate()), lambda x, y: (np.einsum("ij,ij->i", x, y) ** 2,))[0]
+    return _stream_means(n, config, (), (e, e.conjugate()), lambda x, y: (_inner_square(x, y),))[0]
 
 
 def estimate_f_factored(n, p, config: MCConfig = MCConfig()) -> MCEstimate:

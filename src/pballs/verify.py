@@ -39,7 +39,7 @@ from .moments import (
     remark_limit_check,
     routes_agree,
 )
-from .montecarlo import MCConfig, _stream_means, estimate_f, estimate_f_factored
+from .montecarlo import MCConfig, _inner_square, _stream_means, estimate_f, estimate_f_factored
 from .pball import as_exponent, normalized_second_moment, second_moment_integral, volume
 
 __all__ = ["Check", "SUITE_NAMES", "run_suite"]
@@ -95,8 +95,6 @@ COMPARATOR_PAIRS_HIGH = (
 )
 
 MC_P_GRID = (1.0, 1.4, 2.0, 3.0, math.inf)
-MC_MOMENT_P_GRID = (1.0, 1.5, 2.0, 3.0, math.inf)
-MC_MOMENT_N_GRID = (1, 2, 3, 5)
 SAMPLER_STD_ERRORS = 4.0  # the sampler checks' band, in standard errors of a coordinate mean
 
 
@@ -336,17 +334,42 @@ def suite_corollaries() -> list[Check]:
 
 def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
     """The Monte Carlo checks at config.samples per cell, each drawn through the
-    chunked reducer; the i-th cell runs on seed config.seed + i over config.streams
-    substreams (estimators) or config.seed * 1000 + i over one (sampler)."""
+    chunked reducer over config.streams substreams, the i-th cell on seed
+    config.seed + i.  Each of the 25 estimator cells draws x at p and y at q
+    in one pass and reduces <x, y>^2 for mc-estimate and, for each side z,
+    z1^2, z1 and (at n >= 2) z1^2 - z2^2 for the sampler checks, which also
+    read the norm of every point drawn."""
     checks = []
 
-    pulls = []
+    pulls, moment_pulls, exchange_pulls = [], [], []
+    norm_maxima = []  # one per side and chunk; statistics may run on several threads
     idx = 0
     for n in range(1, 6):
         for p in MC_P_GRID:
-            est = estimate_f(n, p, replace(config, seed=config.seed + idx))
+            e = as_exponent(p)
+            sides = (e, e.conjugate())
+
+            def statistics(x, y):
+                values = [_inner_square(x, y)]
+                for z, side in zip((x, y), sides):
+                    norms = abs(z).max(axis=1) if math.isinf(side.p) else (abs(z) ** side.p).sum(axis=1)
+                    norm_maxima.append(norms.max())
+                    sq = z[:, 0] * z[:, 0]
+                    # club the two coordinates into one per-sample difference so
+                    # their (negative) correlation is priced into the band
+                    values += [sq, z[:, 0]] + ([sq - z[:, 1] * z[:, 1]] if n >= 2 else [])
+                return tuple(values)
+
+            est, *side_estimates = _stream_means(n, replace(config, seed=config.seed + idx), (), sides, statistics)
             idx += 1
-            pulls.append(mc_pull(est.mean - f_gamma(n, p).value, est.std_error))
+            pulls.append(mc_pull(est.mean - f_gamma(n, e).value, est.std_error))
+            if config.samples < 2:
+                continue  # a standard error needs two samples
+            half = len(side_estimates) // 2
+            for side, (sq, z1, *differences) in zip(sides, (side_estimates[:half], side_estimates[half:])):
+                target = normalized_second_moment(n, side)
+                moment_pulls += [mc_pull(sq.mean - target, sq.std_error), mc_pull(z1.mean, z1.std_error)]
+                exchange_pulls += [mc_pull(d.mean, d.std_error) for d in differences]
     worst_pull = _worst(pulls)
     checks.append(_check(
         "mc-estimate", worst_pull <= MC_STD_ERRORS,
@@ -354,47 +377,22 @@ def suite_mc(config: MCConfig = MCConfig()) -> list[Check]:
         f"({config.samples} pairs), worst |pull| {worst_pull:.2f} (limit {MC_STD_ERRORS:g})",
     ))
 
-    moment_pulls = []
-    exchange_pulls = []
-    norm_maxima = []  # one per chunk; statistics may run on several threads
-    for n in MC_MOMENT_N_GRID:
-        for p in MC_MOMENT_P_GRID:
-            e = as_exponent(p)
-
-            def statistics(x):
-                norms = abs(x).max(axis=1) if math.isinf(e.p) else (abs(x) ** e.p).sum(axis=1)
-                norm_maxima.append(norms.max())
-                sq = x[:, 0] * x[:, 0]
-                # club the two coordinates into one per-sample difference so
-                # their (negative) correlation is priced into the band
-                return (sq, x[:, 0]) + ((sq - x[:, 1] * x[:, 1],) if n >= 2 else ())
-
-            cell = replace(config, seed=config.seed * 1000 + idx, streams=1)
-            estimates = _stream_means(n, cell, (), (e,), statistics)
-            idx += 1
-            if config.samples < 2:
-                continue  # a standard error needs two samples
-            sq, x1, *differences = estimates
-            target = normalized_second_moment(n, e)
-            moment_pulls += [mc_pull(sq.mean - target, sq.std_error), mc_pull(x1.mean, x1.std_error)]
-            exchange_pulls += [mc_pull(d.mean, d.std_error) for d in differences]
     max_norm = _worst(norm_maxima)
     worst_pull = _worst(moment_pulls)
     worst_exchange = _worst(exchange_pulls)
-    exchange_ok = worst_exchange <= SAMPLER_STD_ERRORS
     checks.append(_check(
         "mc-sampler-moments", worst_pull <= SAMPLER_STD_ERRORS,
-        f"E[x1^2] vs closed form and E[x1] vs 0 at {SAMPLER_STD_ERRORS:g} s.e., "
+        f"E[z1^2] vs closed form and E[z1] vs 0 on both sides of the 25 cells at {SAMPLER_STD_ERRORS:g} s.e., "
         + (f"worst |pull| {worst_pull:.2f}" if moment_pulls else "no pull computed from fewer than 2 samples"),
     ))
     checks.append(_check(
         "mc-membership", max_norm <= 1.0,
-        f"all sampled points inside the closed ball, max norm {max_norm:.17g}",
+        f"all sampled points on both sides of the 25 cells inside the closed ball, max norm {max_norm:.17g}",
     ))
     checks.append(_check(
-        "mc-exchangeability", exchange_ok,
-        f"E[x1^2] vs E[x2^2] within combined {SAMPLER_STD_ERRORS:g} s.e. bands"
-        + ("" if exchange_ok else f", worst |pull| {worst_exchange:.2f}"),
+        "mc-exchangeability", worst_exchange <= SAMPLER_STD_ERRORS,
+        f"E[z1^2] vs E[z2^2] on both sides of the 20 cells with n>=2 within combined "
+        f"{SAMPLER_STD_ERRORS:g} s.e. bands, worst |pull| {worst_exchange:.2f}",
     ))
 
     pulls = []

@@ -283,9 +283,9 @@ class TestChunking:
         monkeypatch.setattr(montecarlo, "sample_ball", recording)
         verify.suite_mc(MCConfig(400, 0, 2))
         assert elements and max(elements) <= 64
-        # 25 estimate_f cells of x and y, 20 sampler cells of x, and two
+        # 25 cells of x and y, which the sampler checks read too, and two
         # consistency pairs of estimate_f and estimate_f_factored
-        assert sum(rows) == 25 * 800 + 20 * 400 + 2 * 1_600
+        assert sum(rows) == 25 * 800 + 2 * 1_600
 
 
 def _sequential_means(n, config, key, draw, statistics):

@@ -46,8 +46,8 @@ def test_traced_counters_are_nonzero(monkeypatch):
 
 
 def test_traced_rows_include_the_sampler_checks(monkeypatch):
-    # 25 estimate_f cells draw 2 * 64 rows, 20 sampler cells 64, and the two
-    # consistency pairs 2 * 128 (estimate_f) and 2 * 128 (factored)
+    # 25 cells draw 2 * 64 rows, which the sampler checks read too, and the
+    # two consistency pairs 2 * 128 (estimate_f) and 2 * 128 (factored)
     monkeypatch.syspath_prepend(PERFBENCH)
     tracer = importlib.import_module("tracing").Tracer()
     tracer.install()
@@ -55,4 +55,4 @@ def test_traced_rows_include_the_sampler_checks(monkeypatch):
         verify.suite_mc(montecarlo.MCConfig(64, 0, 2))
     finally:
         tracer.uninstall()
-    assert tracer.metrics(passes=1)["montecarlo.sample_ball.rows"][0] == 4992
+    assert tracer.metrics(passes=1)["montecarlo.sample_ball.rows"][0] == 3712

@@ -1,6 +1,7 @@
 """The verify suites' own machinery: the per-term certificate against
-mutated expansions, each grid cell evaluated once, and a NaN deviation
-failing the check that reduces it."""
+mutated expansions, each grid cell evaluated once, a NaN deviation
+failing the check that reduces it, and the sampler checks reading both
+sides of the Monte Carlo cells."""
 
 import collections
 import inspect
@@ -9,7 +10,7 @@ import textwrap
 
 import pytest
 
-from pballs import moments, verify
+from pballs import moments, montecarlo, verify
 from pballs.montecarlo import MCConfig
 from pballs.pball import Exponent
 
@@ -78,8 +79,9 @@ def _nan_value(result):
 
 
 def _nan_difference(estimates):
-    sq, x1, difference, *rest = estimates
-    return (sq, x1, difference._replace(mean=math.nan), *rest)
+    # <x, y>^2, then x1^2, x1 and x1^2 - x2^2, then the same for y
+    inner, sq, x1, difference, *rest = estimates
+    return (inner, sq, x1, difference._replace(mean=math.nan), *rest)
 
 
 # (check, suite, verify's global, the cell it spoils, how): the route returns
@@ -116,3 +118,44 @@ class TestNaNFailsItsCheck:
         checks = {c.name: c for c in verify.run_suite(suite, MCConfig(samples=4000, seed=3, streams=2))}
         assert checks[name].passed is False
         assert "nan" in checks[name].detail
+
+    def test_nan_coordinate_fails_membership(self, monkeypatch):
+        # one NaN coordinate in the first chunk of the first n = 3 cell; the
+        # statistics get a spoiled copy, since the points' buffer is reused
+        reducer = verify._stream_means
+        spoiled = []
+
+        def spoiling(n, config, key, exponents, statistics):
+            def spoil_once(x, *rest):
+                if n == 3 and not spoiled:
+                    spoiled.append(n)
+                    x = x.copy()
+                    x[0, 0] = math.nan
+                return statistics(x, *rest)
+
+            return reducer(n, config, key, exponents, spoil_once)
+
+        monkeypatch.setattr(verify, "_stream_means", spoiling)
+        checks = {c.name: c for c in verify.suite_mc(MCConfig(samples=4000, seed=3, streams=2))}
+        assert spoiled == [3]
+        assert checks["mc-membership"].passed is False
+        assert "max norm nan" in checks["mc-membership"].detail
+
+
+class TestSamplerChecksReadBothSides:
+    def test_spoiled_conjugate_side_fails(self, monkeypatch):
+        # points 5 % too far out only at q = 3.5, the conjugate of p = 1.4,
+        # which only the y side of the p = 1.4 cells draws
+        real = montecarlo.sample_ball
+        q = Exponent(1.4).conjugate().p
+
+        def spoiled(n, p, rng, size=None, out=None):
+            points = real(n, p, rng, size=size, out=out)
+            if abs(_p(p) - q) <= 1e-9:
+                points *= 1.05
+            return points
+
+        monkeypatch.setattr(montecarlo, "sample_ball", spoiled)
+        checks = {c.name: c for c in verify.suite_mc(MCConfig(samples=4000, seed=3, streams=2))}
+        assert checks["mc-sampler-moments"].passed is False
+        assert checks["mc-membership"].passed is False
