@@ -19,6 +19,7 @@ that way for x > 0, a < 1; ``ln_gamma`` (the standard library's
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from typing import NamedTuple
@@ -248,10 +249,12 @@ def gamma_ratio_product(x: float, a: float) -> ProductResult:
     """Truncated product evaluation of Gamma(1-a)*Gamma(x+a)/Gamma(x).
 
     Requires finite x > 0 and a < 1, and x+a not a nonpositive integer (a
-    factor denominator vanishes there).  The value is negative exactly when
-    an odd number of early factors is negative (possible for x+a < 0).  a = 0
-    short-circuits to exactly 1: every factor is identically one and a
-    product of rounded ones would only accumulate noise.
+    factor denominator vanishes there), else ValueError; so too when a
+    factor's denominator k + x + a - 1, rounded as the kernel rounds it, is
+    0.  The value is negative exactly when an odd number of early factors
+    is negative (possible for x+a < 0).  a = 0 short-circuits to exactly 1:
+    every factor is identically one and a product of rounded ones would
+    only accumulate noise.
     """
     x = float(x)
     a = float(a)
@@ -267,6 +270,15 @@ def gamma_ratio_product(x: float, a: float) -> ProductResult:
 
     # Factor k is negative exactly while k + x + a - 1 < 0.
     mixed = max(0, math.floor(1.0 - x - a))
+    # x + a can round off an integer while a denominator, as the kernel
+    # rounds it, is exactly 0; that factor is infinite, so refuse it here
+    # rather than spend the whole budget on an infinite head.  The rounded
+    # k + x + a - 1 is nondecreasing in k, so only the first k in
+    # 1..mixed + 1 where it is >= 0 can give 0; bisection finds it.
+    ks = range(1, mixed + 2)
+    first = bisect.bisect_left(ks, 0.0, key=lambda k: float(k) + x + a - 1.0)
+    if first < len(ks) and float(ks[first]) + x + a - 1.0 == 0.0:
+        raise ValueError(f"factor {ks[first]}'s denominator k + x + a - 1 rounds to 0 (gamma pole)")
 
     # the tail's arguments must stay >= 1, so the head covers k <= 1 - x - a at least
     lowest = min(-a, x - 1.0, x + a - 1.0)

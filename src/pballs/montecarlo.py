@@ -1,18 +1,27 @@
 """Monte Carlo oracle: exact uniform sampling on B_p^n and estimation of f(n, p).
 
-Sampling uses the generalized-normal construction: draw G_i ~ Gamma(1/p)
-(so that sign_i * G_i^{1/p} has density proportional to exp(-|u|^p)), an
-independent standard exponential w, and set
+Sampling uses the generalized-normal construction: if X_i has density
+proportional to exp(-|u|^p) and w is an independent standard exponential,
 
-    x_i = sign_i * (G_i / (sum_j G_j + w))^{1/p},
+    x_i = X_i / (sum_j |X_j|^p + w)^{1/p}
 
-which is exactly uniform on the unit p-ball; p = inf reduces to independent
-uniforms on [-1, 1].  At p = 2 the generalized normal is X = Z / sqrt(2)
-with Z standard normal (X^2 = Z^2 / 2 ~ Gamma(1/2)), so that path draws
-normals and then the exponential, with no gamma draws, signs or powers.
+is exactly uniform on the unit p-ball; p = inf reduces to independent
+uniforms on [-1, 1].  |X_i|^p is Gamma(1/p), and by Stuart's identity
+Gamma(a) = Gamma(1+a) * U^{1/a} in law, U uniform on (0, 1) (the boost
+Marsaglia and Tsang use).  So for 1 < p < inf, p != 2, the general path
+sets X_i = G_i^{1/p} * V_i with G_i ~ Gamma(1+1/p) and V_i uniform on
+(-1, 1): |V_i| is uniform and its sign independent of it.  Unlike a
+Gamma(1/p) draw, G_i cannot underflow to 0 at large p (nor, through the
+conjugate exponent, just above 1), and it takes about half the time to
+draw; a term |X_i|^p too small for a double only drops out of the
+radius.  At p = 1 the magnitudes are exponentials with random signs, and
+at p = 2 the generalized normal is X = Z / sqrt(2) with Z standard normal,
+so that path draws normals and then the exponential, with no gamma draws,
+signs or powers.
 Every path builds its points in place in the array it returns, or in a
-caller's array, the general path's signs in blocks that do not change the
-draws, so a call holds about its output plus O(_SIGN_BLOCK + size) bytes.
+caller's array, with its signs or uniforms in blocks of about _BLOCK
+coordinates that do not change the draws, so a call holds about its output
+plus O(_BLOCK + size) bytes.
 Streams are counter-based (Philox keyed by (seed, stream index)), so a
 stream's draws depend on its key alone, never on which thread runs it or
 when.  The reducer runs the streams on min(streams, usable CPUs) threads,
@@ -49,11 +58,17 @@ _CHUNK_ELEMENTS = 1 << 21
 # thread alone: below it, starting threads costs more than they save.  Not
 # part of the draw order.
 _PARALLEL_ELEMENTS = 1 << 18
-# Sign integers drawn at a time on the general path.  Philox integers(0, 2)
-# gives the same values and state however the call is split, so this bounds
-# the sign arrays' memory (16 bytes a sign, 256 KiB a worker) without being
-# part of the draw order.
-_SIGN_BLOCK = 1 << 14
+# Coordinates whose signs (p = 1) or uniforms (other finite p != 2) are drawn
+# at a time; the general path draws whole rows, max(1, _BLOCK // n) of them.
+# Philox integers(0, 2) and random() give the same values and state however
+# the call is split, so this bounds the block temporaries (at most 16 bytes
+# a coordinate, 256 KiB a worker) without being part of the draw order.
+_BLOCK = 1 << 14
+# The least |x_i|**p the general path computes: smaller |x_i| are raised to
+# the floor instead, so the radius grows by at most n * 2**-1000 <= 2**-980
+# next to its Exp(1) draw.  A pow that underflows takes libm's slow path,
+# about 15x slower, and most do at p >= 1000.
+_TERM_FLOOR = 2.0 ** -1000
 
 
 @dataclass(frozen=True)
@@ -98,17 +113,22 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None, out: np
     returned, and the draws are the same either way.  Membership
     sum |x_i|^p <= 1 holds by construction.  Each path's generator calls
     are part of the seeded draw order: p = inf draws (size, n) uniforms;
-    p = 2 draws (size, n) standard normals, then size exponentials; any
-    other p draws (size, n) Gamma(1/p) magnitudes, then size * n sign
-    integers in row-major order, then size exponentials.
+    p = 2 draws (size, n) standard normals, then size exponentials; p = 1
+    draws (size, n) exponential magnitudes, then size * n sign integers in
+    row-major order, then size exponentials; any other p draws (size, n)
+    Gamma(1 + 1/p) magnitudes G, then (size, n) uniforms u in row-major
+    order, then size exponentials w.
 
     Each path works in place on the array it returns; p = inf scales
-    [0, 1) doubles to 2u - 1, the bits of uniform(-1, 1).  The general path
-    raises the gammas to 1/p and applies the signs with copysign in blocks
-    of _SIGN_BLOCK coordinates; Philox integers are the same however the
-    call is split, and copysign and the sign-symmetric division give the
-    bits of sign * G**(1/p) / radius.  Peak memory is the output plus
-    O(_SIGN_BLOCK + size).
+    [0, 1) doubles to 2u - 1, the bits of uniform(-1, 1).  p = 1 applies
+    the signs with copysign in blocks of _BLOCK coordinates.  The general
+    path works in blocks of max(1, _BLOCK // n) rows: it sets V = 2u - 1
+    in a block temporary, the point to G**(1/p) * V and adds each row's
+    sum of |G**(1/p) * V|**p, each term at least _TERM_FLOOR, to the
+    radius, which is then (radius + w)**(1/p).
+    Philox integers and uniforms are the same however the call is split,
+    so neither block size is part of the draw order.  Peak memory is the
+    output plus O(_BLOCK + size).
     """
     n = check_dimension(n)
     e = as_exponent(p)
@@ -130,15 +150,34 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None, out: np
         x *= math.sqrt(0.5)
         w = rng.standard_exponential(size=m)
         x /= np.sqrt(np.einsum("ij,ij->i", x, x) + w)[:, None]
+    elif e.p == 1.0:
+        rng.standard_exponential(out=x)
+        radius = x.sum(axis=1)
+        flat = x.reshape(-1)
+        for start in range(0, flat.size, _BLOCK):
+            part = flat[start:start + _BLOCK]
+            np.copysign(part, rng.integers(0, 2, size=part.size) - 0.5, out=part)
+        radius += rng.standard_exponential(size=m)
+        x /= radius[:, None]
     else:
         inv_p = 1.0 / e.p
-        rng.standard_gamma(inv_p, out=x)
-        radius = x.sum(axis=1)
-        x **= inv_p
-        flat = x.reshape(-1)
-        for start in range(0, flat.size, _SIGN_BLOCK):
-            part = flat[start:start + _SIGN_BLOCK]
-            np.copysign(part, rng.integers(0, 2, size=part.size) - 0.5, out=part)
+        rng.standard_gamma(1.0 + inv_p, out=x)
+        radius = np.empty(m)
+        least = _TERM_FLOOR**inv_p
+        rows = max(1, _BLOCK // n)
+        v = np.empty((min(rows, m), n))
+        for start in range(0, m, rows):
+            part = x[start:start + rows]
+            vpart = v[:len(part)]
+            rng.random(out=vpart)
+            vpart *= 2.0
+            vpart -= 1.0
+            part **= inv_p
+            part *= vpart
+            np.abs(part, out=vpart)
+            np.maximum(vpart, least, out=vpart)
+            vpart **= e.p
+            vpart.sum(axis=1, out=radius[start:start + rows])
         radius += rng.standard_exponential(size=m)
         radius **= inv_p
         x /= radius[:, None]

@@ -226,6 +226,20 @@ class TestScan:
         assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["1", "1.0000000000000999", "1.5"]
         assert err == "# ok: monotone nondecreasing on [1,2] for n=3\n"
 
+    @pytest.mark.parametrize(
+        "p,samples",
+        [("1.001,2,1000", "200000"), ("1.0000000000001", "40000")],
+        ids=["large-p-and-just-above-1", "conjugate-near-1e13"],
+    )
+    def test_monte_carlo_agrees_at_large_p_and_just_above_1(self, capsys, p, samples):
+        # Gamma(1/p) magnitudes underflowed to 0 here, at p or at its
+        # conjugate, and biased f_mc low or made it exactly 0
+        code, out, _ = run_cli(capsys, "scan", "--n", "3", "--p", p, "--samples", samples, "--seed", "1")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert code == 0
+        assert len(rows) == len(p.split(","))
+        assert all(float(row[5]) > 0.0 and row[11] == "true" for row in rows)
+
 
 class TestVerify:
     def test_named_suite(self, capsys):

@@ -235,14 +235,21 @@ class TestGammaRatioProduct:
         with pytest.raises(ValueError):
             gamma_ratio_product(x, a)
 
-    def test_zero_factor_denominator_is_flagged_not_raised(self):
+    def test_zero_factor_denominator_raises_at_once(self, monkeypatch):
         # x + a rounds to just above -4 and passes the pole check, yet the
         # k = 5 factor's (5 + x) + a - 1 rounds to exactly 0: its term is
-        # infinite, so no head meets the tolerance
+        # infinite, and run_truncated_log_sum would spend its whole budget on it
+        from pballs import gamma_core
+
+        assert 0.1 + -4.1 != -4.0
         assert (5 + 0.1) + (-4.1) - 1.0 == 0.0
-        out = gamma_ratio_product(0.1, -4.1)
-        assert out.stop != "tolerance"
-        assert not math.isfinite(out.tail_bound)
+
+        def unreachable(*args):
+            raise AssertionError("run_truncated_log_sum ran")
+
+        monkeypatch.setattr(gamma_core, "run_truncated_log_sum", unreachable)
+        with pytest.raises(ValueError, match="factor 5's denominator"):
+            gamma_ratio_product(0.1, -4.1)
 
     def test_unreached_tolerance_is_flagged_not_raised(self):
         # the tail needs every argument k + x + a - 1 >= 1, so with

@@ -153,6 +153,20 @@ class TestSampleBall:
         assert abs(float(sq.mean()) - normalized_second_moment(5, 1.7)) <= band
 
 
+class TestSamplerAtExtremeExponents:
+    # Gamma(1/p) magnitudes underflowed to 0 at large p and, through the
+    # conjugate exponent, just above 1; Gamma(1 + 1/p) magnitudes times a
+    # uniform cannot, so every coordinate is nonzero and the moment is right
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    @pytest.mark.parametrize("p", [1 + 1e-3, 100.0, 1000.0, 1e4, 1e6, 1 + 1e-13])
+    def test_no_zero_coordinate_and_the_second_moment(self, p, n):
+        x = sample_ball(n, p, _stream_rng(47, (0,)), size=50_000)
+        assert np.count_nonzero(x == 0.0) == 0
+        sq = x[:, 0] ** 2
+        band = 4.0 * float(sq.std(ddof=1)) / math.sqrt(x.shape[0])
+        assert abs(float(sq.mean()) - normalized_second_moment(n, p)) <= band
+
+
 def _reference_draw(n, p, rng, m):
     """Each sample_ball path written out from the generator calls it is pinned to."""
     if math.isinf(p):
@@ -161,22 +175,30 @@ def _reference_draw(n, p, rng, m):
         x = rng.standard_normal(size=(m, n)) * math.sqrt(0.5)
         w = rng.standard_exponential(size=m)
         return x / np.sqrt(np.einsum("ij,ij->i", x, x) + w)[:, None]
+    if p == 1.0:
+        g = rng.standard_gamma(1.0, size=(m, n))
+        signs = 2.0 * rng.integers(0, 2, size=(m, n)).astype(np.float64) - 1.0
+        w = rng.standard_exponential(size=m)
+        return signs * g / (g.sum(axis=1) + w)[:, None]
+    # Stuart's identity: Gamma(1/p) = Gamma(1 + 1/p) * U^p in law, U = |V|
     inv_p = 1.0 / p
-    g = rng.standard_gamma(inv_p, size=(m, n))
-    signs = 2.0 * rng.integers(0, 2, size=(m, n)).astype(np.float64) - 1.0
+    g = rng.standard_gamma(1.0 + inv_p, size=(m, n))
+    v = rng.uniform(-1.0, 1.0, size=(m, n))
     w = rng.standard_exponential(size=m)
-    return signs * g**inv_p / ((g.sum(axis=1) + w) ** inv_p)[:, None]
+    x = g**inv_p * v
+    return x / (((np.abs(x) ** p).sum(axis=1) + w) ** inv_p)[:, None]
 
 
 class TestDrawOrder:
     # A change to any path's generator calls re-draws every seeded estimate
     # on it; these tests make such a change an explicit edit.
     @pytest.mark.parametrize("n", [1, 5, 20])
-    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 3.0, 1000.0, math.inf])
     def test_bit_identical_to_the_reference_draws(self, n, p):
         rng, ref = _stream_rng(31, (2, 1)), _stream_rng(31, (2, 1))
         # successive calls each consume exactly their own draws; at n = 20,
-        # 7000 rows are 140,000 signs: eight full sign blocks and a partial one
+        # 7000 rows are 140,000 signs or uniforms: eight full blocks and a
+        # partial one
         for m in (1000, 7, 7000):
             assert np.array_equal(sample_ball(n, p, rng, size=m), _reference_draw(n, p, ref, m))
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
