@@ -5,11 +5,12 @@ Each series kernel evaluates the terms of a contiguous index range
 truncation driver's head and its rounding scale.  Each term is the printed
 expression, its operations in the printed order, and the range is summed
 from k_hi down to k_lo, the smallest terms first.  The driver asks for each
-term once, so a call covers a few dozen indices, more only when a
-tolerance below the rounding floor sends it to the budget; no call holds
-more than a few floats at once.  ``ineq3_min``, the float minimum of the
-per-term polynomial, has no caller in the package (``moments`` proves the
-inequality exactly); it stays only because the benchmark's tracer names it.
+term once, in two calls: its head, then the terms up to twice the head.
+Those cover a few dozen indices, more only for a gamma-ratio head past many
+negative factors; no call holds more than a few floats at once.
+``ineq3_min``, the float minimum of the per-term polynomial, has no caller
+in the package (``moments`` proves the inequality exactly); it stays only
+because the benchmark's tracer names it.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ derivatives is one of divided differences (psi(x+h) - psi(x))/h.
 ``ln_gamma_difference`` and ``digamma_divided_difference`` evaluate those
 with certified bounds; the Euler-Maclaurin order, its weights and the
 rounding allowance live here alone.  ``run_truncated_log_sum`` sums a
-series as a short head of explicit terms plus that tail over k > N, and
-checks each estimate against a second one at twice the head, all within
-the fixed limits MAX_TERMS and REL_TOL.  ``gamma_ratio_product`` evaluates
+series as one head of N explicit terms plus that tail over k > N, and
+confirms that estimate by a second one at 2N, within the fixed limits
+MAX_TERMS and REL_TOL; the head is FIRST_HEAD terms unless the caller
+names a longer one.  ``gamma_ratio_product`` evaluates
 
     Gamma(1-a)*Gamma(x+a)/Gamma(x) = prod_{k>=1} k*(k+x-1) / ((k-a)*(k+x+a-1))
 
@@ -64,9 +65,10 @@ class ProductResult(NamedTuple):
     """A truncated product value plus its certified accuracy.
 
     tail_bound bounds |log(true/value)| (approximately the relative error),
-    rounding included.  stop says why the driver stopped: "tolerance",
-    "budget" or "doubling-failed"; converged is stop == "tolerance", the
-    bound met REL_TOL and the doubling check did not fail.  When it is
+    rounding included.  stop says how the driver's one head fared:
+    "tolerance" when its bound met REL_TOL, "budget" when it did not, and
+    "doubling-failed" when the confirming estimate at twice the head
+    disagreed with it; converged is stop == "tolerance".  When it is
     False the value and achieved bound are still valid and returned here
     rather than raised, since downstream comparisons consume them directly.
     """
@@ -94,16 +96,15 @@ class _LogSum(NamedTuple):
 
 EPS = 2.0**-52
 
-# The driver's contract: at most MAX_TERMS explicit terms per series, the
-# doubling pass included (even, so that the head stops at MAX_TERMS // 2
-# and its second estimate always fits), and a head that stops growing once
-# the bound on |log(true/truncated)|, roughly the relative error, meets
-# REL_TOL.
+# The driver's contract: a head of at most MAX_TERMS // 2 terms, so that
+# with its confirming terms no call sums more than MAX_TERMS, and a result
+# that has converged when its bound on |log(true/truncated)|, roughly the
+# relative error, meets REL_TOL.
 MAX_TERMS = 10**6
 REL_TOL = 1e-10
 
-# The head the driver sums before its first estimate, and the number of
-# Bernoulli corrections in both Stirling differences.
+# The head the driver sums unless its caller names a longer one, and the
+# number of Bernoulli corrections in both Stirling differences.
 FIRST_HEAD = 32
 EM_ORDER = 5
 
@@ -194,55 +195,37 @@ def digamma_divided_difference(x: float, h: float) -> tuple[float, float]:
     return value, _DIGAMMA_REMAINDER * c + _ROUNDING_ULPS * EPS * scale
 
 
-def run_truncated_log_sum(terms, tail) -> _LogSum:
+def run_truncated_log_sum(terms, tail, head: int = FIRST_HEAD) -> _LogSum:
     """Sum a convergent series as a computed head plus a certified tail.
 
     ``terms(k_lo, k_hi)`` returns (sum, size): the sum of the terms
     k_lo..k_hi and the sum of their absolute values, each summed from k_hi
     down to k_lo; ``tail(N) -> (value, bound)`` is the series' own
     certified sum over k > N, its bound covering the truncation remainder
-    and the tail's rounding.  The head length N starts at FIRST_HEAD and
-    doubles until the tail bound plus the head's rounding allowance meets
-    REL_TOL, or until it is MAX_TERMS // 2, so that a second estimate at
-    2N stays inside MAX_TERMS; the two estimates must agree within the sum
-    of their bounds.  The estimate at N is returned; terms counts every
-    term summed, and confirmed says whether the two estimates agreed.
-
-    Each estimate asks only for the terms past the one before, so each
-    term is evaluated once.  The head is the running sum of those ranges'
-    sums, and its allowance of (N + _ROUNDING_ULPS) ulp of their sizes
-    covers summing in that order.
+    and the tail's rounding.  The head is N = min(head, MAX_TERMS // 2)
+    terms, and one confirming estimate at 2N asks only for the terms
+    N+1..2N, so each term is evaluated once and no call sums more than
+    MAX_TERMS.  Each estimate's bound is its tail bound plus a rounding
+    allowance of (N + _ROUNDING_ULPS) ulp of the summed sizes, which covers
+    summing the head range by range.  The estimate at N is returned with
+    terms = 2N; stop is "tolerance" when its bound meets REL_TOL,
+    "budget" when it does not, and "doubling-failed" when the two
+    estimates differ by more than the sum of their bounds, the gap then
+    counting in the bound.
     """
-    budget = MAX_TERMS // 2
-
-    head = abs_head = 0.0
-    summed = 0
-
-    def estimate(k: int) -> tuple[float, float]:
-        nonlocal head, abs_head, summed
-        part, size = terms(summed + 1, k)
-        head += part
-        abs_head += size
-        summed = k
-        value, bound = tail(k)
-        return head + value, bound + (k + _ROUNDING_ULPS) * EPS * abs_head
-
-    k = FIRST_HEAD
-    while True:
-        total, bound = estimate(k)
-        if bound <= REL_TOL:
-            stop = "tolerance"
-            break
-        if k >= budget:
-            stop = "budget"
-            break
-        k = min(2 * k, budget)
-
-    total2, bound2 = estimate(2 * k)
+    n = min(head, MAX_TERMS // 2)
+    part, size = terms(1, n)
+    more, more_size = terms(n + 1, 2 * n)
+    value, bound = tail(n)
+    value2, bound2 = tail(2 * n)
+    total = part + value
+    total2 = (part + more) + value2
+    bound += (n + _ROUNDING_ULPS) * EPS * size
+    bound2 += (2 * n + _ROUNDING_ULPS) * EPS * (size + more_size)
     gap = abs(total2 - total)
     if gap > bound + bound2:
-        return _LogSum(total, 2 * k, gap + bound2, "doubling-failed")
-    return _LogSum(total, 2 * k, bound, stop)
+        return _LogSum(total, 2 * n, gap + bound2, "doubling-failed")
+    return _LogSum(total, 2 * n, bound, "tolerance" if bound <= REL_TOL else "budget")
 
 
 def gamma_ratio_product(x: float, a: float) -> ProductResult:
@@ -272,9 +255,9 @@ def gamma_ratio_product(x: float, a: float) -> ProductResult:
     mixed = max(0, math.floor(1.0 - x - a))
     # x + a can round off an integer while a denominator, as the kernel
     # rounds it, is exactly 0; that factor is infinite, so refuse it here
-    # rather than spend the whole budget on an infinite head.  The rounded
-    # k + x + a - 1 is nondecreasing in k, so only the first k in
-    # 1..mixed + 1 where it is >= 0 can give 0; bisection finds it.
+    # rather than sum an infinite head.  The rounded k + x + a - 1 is
+    # nondecreasing in k, so only the first k in 1..mixed + 1 where it is
+    # >= 0 can give 0; bisection finds it.
     ks = range(1, mixed + 2)
     first = bisect.bisect_left(ks, 0.0, key=lambda k: float(k) + x + a - 1.0)
     if first < len(ks) and float(ks[first]) + x + a - 1.0 == 0.0:
@@ -291,6 +274,7 @@ def gamma_ratio_product(x: float, a: float) -> ProductResult:
         lower, lower_bound = ln_gamma_difference(x0 - a, a)
         return upper - lower, upper_bound + lower_bound
 
-    out = run_truncated_log_sum(functools.partial(gamma_ratio_log, x, a), tail)
+    # one head term per negative factor, then the usual head past them
+    out = run_truncated_log_sum(functools.partial(gamma_ratio_log, x, a), tail, FIRST_HEAD + mixed)
     sign = -1.0 if mixed % 2 else 1.0
     return ProductResult(sign * math.exp(out.total), out.tail_bound, out.terms, out.stop)

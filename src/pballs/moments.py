@@ -227,7 +227,8 @@ def f_product(n, p) -> MomentResult:
     (error_estimate 0).  Otherwise f = (n/9) * gk_ratio_product(n, t), and
     error_estimate is an absolute bound from the certified Stirling
     remainder of the tail plus rounding; converged=False flags a bound
-    still above REL_TOL at the term budget.
+    above REL_TOL after the driver's one head, or a confirming estimate
+    at twice the head that disagreed with it.
     """
     n = check_dimension(n)
     e = as_exponent(p)

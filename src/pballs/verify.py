@@ -7,8 +7,9 @@ the tolerances of the identity checks are fixed here; the paper's claims
 agreement) are judged by the shared rules in :mod:`pballs.moments`, which
 take the routes' results and read the certified bounds they carry (the
 comparators by the monotone rule on two product results); the CLI uses the
-same rules.  Suites that truncate a series
-run the driver's one fixed contract (MAX_TERMS, REL_TOL in
+same rules.  Suites that truncate a series run the driver's one fixed
+contract (one head of FIRST_HEAD terms, or more for a gamma ratio with
+negative factors, confirmed at twice the head against REL_TOL, all in
 :mod:`pballs.gamma_core`) and take no arguments; the Monte Carlo suite takes
 one :class:`~pballs.montecarlo.MCConfig` and gives the chunked reducer of
 :mod:`pballs.montecarlo` the exponents to draw and the statistics to

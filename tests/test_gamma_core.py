@@ -91,8 +91,8 @@ def _telescoping_chunk(k_lo, k_hi):
 
 class TestTruncationDriver:
     def test_fixed_contract(self):
-        # an even budget: the head stops at half of it, so the doubling
-        # pass always fits
+        # an even budget: a head capped at half of it and its confirming
+        # estimate at twice the head sum exactly MAX_TERMS terms
         assert MAX_TERMS == 10**6 and MAX_TERMS % 2 == 0
         assert REL_TOL == 1e-10
 
@@ -104,19 +104,19 @@ class TestTruncationDriver:
         assert abs(out.total - 1.0) <= out.tail_bound <= REL_TOL
 
     def test_budget_stop(self):
-        # a tail that certifies nothing: the head doubles up to half the
-        # budget, and the doubling pass spends the rest
+        # a tail that certifies nothing: the driver sums its one head and
+        # the confirming terms, and reports the head's estimate unconverged
         out = run_truncated_log_sum(_telescoping_chunk, lambda n: (0.0, math.inf))
         assert out.stop == "budget"
         assert out.confirmed is True
-        assert out.terms == MAX_TERMS
+        assert out.terms == 2 * FIRST_HEAD
         assert math.isinf(out.tail_bound)
-        assert abs(out.total - 1.0) <= 2.0 / MAX_TERMS
+        assert abs(out.total - (1.0 - 1.0 / (FIRST_HEAD + 1))) <= 4 * EPS
 
     @pytest.mark.parametrize("stop", ["tolerance", "budget", "doubling-failed"])
     def test_each_term_is_evaluated_once(self, stop):
-        # each estimate asks for the terms it adds: the ranges are disjoint
-        # and contiguous, and cover exactly the terms the driver counts
+        # the head and the confirming estimate each ask for the terms they
+        # add: two disjoint, contiguous ranges, whatever the tail says
         tail = {
             "tolerance": lambda n: (1.0 / (n + 1.0), 0.0),
             "budget": lambda n: (0.0, math.inf),
@@ -130,13 +130,30 @@ class TestTruncationDriver:
 
         out = run_truncated_log_sum(recording, tail)
         assert out.stop == stop
-        assert asked[0][0] == 1 and asked[-1][1] == out.terms
-        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(asked, asked[1:]))
-        assert all(lo <= hi for lo, hi in asked)
-        if stop == "tolerance":
-            assert asked == [(1, FIRST_HEAD), (FIRST_HEAD + 1, 2 * FIRST_HEAD)]
-        elif stop == "budget":
-            assert out.terms == MAX_TERMS
+        assert asked == [(1, FIRST_HEAD), (FIRST_HEAD + 1, 2 * FIRST_HEAD)]
+        assert out.terms == 2 * FIRST_HEAD
+
+    @pytest.mark.parametrize(
+        "head,asked_for",
+        [
+            (40, [(1, 40), (41, 80)]),
+            # a head past half the budget is capped there
+            (MAX_TERMS // 2 + 1, [(1, MAX_TERMS // 2), (MAX_TERMS // 2 + 1, MAX_TERMS)]),
+        ],
+    )
+    def test_caller_named_head(self, head, asked_for):
+        asked = []
+
+        def closed_form(k_lo, k_hi):
+            # the telescoping range's sum, without evaluating its terms
+            asked.append((k_lo, k_hi))
+            part = 1.0 / k_lo - 1.0 / (k_hi + 1.0)
+            return part, part
+
+        out = run_truncated_log_sum(closed_form, lambda n: (1.0 / (n + 1.0), 0.0), head)
+        assert asked == asked_for
+        assert out.terms == asked_for[-1][1]
+        assert out.confirmed is True
 
     def test_euler_maclaurin_tables_are_the_bernoulli_weights(self):
         # derived from the exact B_2..B_12, bit for bit the hand-typed weights
@@ -238,7 +255,7 @@ class TestGammaRatioProduct:
     def test_zero_factor_denominator_raises_at_once(self, monkeypatch):
         # x + a rounds to just above -4 and passes the pole check, yet the
         # k = 5 factor's (5 + x) + a - 1 rounds to exactly 0: its term is
-        # infinite, and run_truncated_log_sum would spend its whole budget on it
+        # infinite, and run_truncated_log_sum would sum it into the head
         from pballs import gamma_core
 
         assert 0.1 + -4.1 != -4.0
@@ -253,8 +270,9 @@ class TestGammaRatioProduct:
 
     def test_unreached_tolerance_is_flagged_not_raised(self):
         # the tail needs every argument k + x + a - 1 >= 1, so with
-        # x + a < -MAX_TERMS / 2 no head inside the budget admits one: the
-        # driver spends the budget and reports an infinite bound
+        # x + a < -MAX_TERMS / 2 the head, one term per negative factor and
+        # FIRST_HEAD more, is capped before the tail admits it: the driver
+        # sums MAX_TERMS terms and reports an infinite bound
         out = gamma_ratio_product(0.25, -(MAX_TERMS // 2) - 0.5)
         assert not out.converged
         assert out.stop == "budget"
@@ -276,7 +294,7 @@ class TestGammaRatioProduct:
         out = gamma_ratio_product(2.0, 0.5)
         assert out.stop == "tolerance" and out.converged  # the doubling check did not fail
         assert out.tail_bound <= REL_TOL
-        assert out.terms_used == 2 * FIRST_HEAD  # the first head, and its doubling pass
+        assert out.terms_used == 2 * FIRST_HEAD  # the head, and its confirming terms
 
     def test_factor_sanity(self):
         # factors tend to 1; they are positive throughout whenever x + a > 0,

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from pballs import moments
 from pballs.cli import CSV_HEADER, main
-from pballs.gamma_core import digamma_divided_difference, gamma_ratio_product, ln_gamma_difference
+from pballs.gamma_core import FIRST_HEAD, digamma_divided_difference, gamma_ratio_product, ln_gamma_difference
 from pballs.moments import Sign, derivative_sign_series, f_endpoint, f_gamma, f_product, kuperberg_verdict, routes_agree
 from pballs.pball import Exponent
 
@@ -185,6 +185,15 @@ def test_conjugate_symmetry_within_both_bounds(n, p):
     assert abs(fp.value - fq.value) <= fp.error_estimate + fq.error_estimate
 
 
+def gamma_ratio_deviation(out, x: float, a: float):
+    """(whether the sign is right, |log|value| - log|reference||) of a gamma-ratio product."""
+    with mpmath.workdps(DIGITS):
+        xx, aa = mpmath.mpf(x), mpmath.mpf(a)
+        ref = mpmath.gamma(1 - aa) * mpmath.gamma(xx + aa) / mpmath.gamma(xx)
+        log_dev = float(abs(mpmath.log(abs(mpmath.mpf(out.value))) - mpmath.log(abs(ref))))
+    return math.copysign(1.0, out.value) == (1.0 if ref > 0 else -1.0), log_dev
+
+
 @pytest.mark.parametrize("x,a", [
     (1.0, 0.5),        # Gamma(1/2)^2 / 2 = pi/2
     (10.0, 0.9),
@@ -194,17 +203,28 @@ def test_conjugate_symmetry_within_both_bounds(n, p):
     (0.1, -0.9),       # x + a < 0: one negative factor
     (0.3, -5.7),       # six negative factors
     (0.1, -40.3),      # 41 negative factors, the head must pass k = 41
+    (1.0, -50.5),
+    (0.5, -100.7),
 ])
 def test_gamma_ratio_product_spot_cells(x, a):
     out = gamma_ratio_product(x, a)
-    with mpmath.workdps(DIGITS):
-        xx, aa = mpmath.mpf(x), mpmath.mpf(a)
-        ref = mpmath.gamma(1 - aa) * mpmath.gamma(xx + aa) / mpmath.gamma(xx)
-        log_dev = float(abs(mpmath.log(abs(mpmath.mpf(out.value))) - mpmath.log(abs(ref))))
-    assert math.copysign(1.0, out.value) == (1.0 if ref > 0 else -1.0)
+    sign_ok, log_dev = gamma_ratio_deviation(out, x, a)
+    assert sign_ok
     assert log_dev <= out.tail_bound + 4.0 * EPS
     assert out.converged and out.stop == "tolerance"
-    assert out.terms_used <= 256
+    # one head term per negative factor and FIRST_HEAD more, then as many confirming terms
+    negative = sum(1 for k in range(1, 256) if k + x + a - 1.0 < 0.0)
+    assert out.terms_used == 2 * (FIRST_HEAD + negative)
+
+
+def test_gamma_ratio_product_far_below_zero():
+    # a thousand negative factors: the head passes them and still certifies
+    # the value to about 1e-9, though not to REL_TOL
+    out = gamma_ratio_product(0.1, -1000.3)
+    sign_ok, log_dev = gamma_ratio_deviation(out, 0.1, -1000.3)
+    assert sign_ok
+    assert log_dev <= out.tail_bound <= 1e-9
+    assert out.stop == "budget"
 
 
 def sign_series_reference(n: int, t: float):
@@ -229,7 +249,21 @@ def series_within_bound(report, ref) -> bool:
     return float(abs(mpmath.mpf(report.series_value) - ref)) <= report.tail_bound
 
 
-@pytest.mark.parametrize("n,t", [(2, 0.25), (3, 0.25), (20, 0.25), (1000, 0.25), (5, 0.1), (2, 1e-9)])
+@pytest.mark.parametrize(
+    "n,t",
+    [
+        (2, 0.25),
+        (3, 0.25),
+        (20, 0.25),
+        (1000, 0.25),
+        (5, 0.1),
+        (2, 1e-9),
+        (2000, 1e-12),
+        (10**4, 0.2),
+        (10**5, 1e-3),
+        (10**6, 0.25),
+    ],
+)
 def test_derivative_sign_series_spot_cells(n, t):
     report = derivative_sign_series(n, t)
     assert series_within_bound(report, sign_series_reference(n, t))
