@@ -7,7 +7,8 @@ expression, its operations in the printed order, and the range is summed
 from k_hi down to k_lo, the smallest terms first.  The driver asks for each
 term once, in two calls: its head, then the terms up to twice the head.
 Those cover a few dozen indices, more only for a gamma-ratio head past many
-negative factors; no call holds more than a few floats at once.
+negative factors, which ``gamma_ratio_product`` keeps to MAX_TERMS in all;
+no call holds more than a few floats at once.
 ``ineq3_min``, the float minimum of the per-term polynomial, has no caller
 in the package (``moments`` proves the inequality exactly); it stays only
 because the benchmark's tracer names it.

@@ -8,14 +8,15 @@ derivatives is one of divided differences (psi(x+h) - psi(x))/h.
 with certified bounds; the Euler-Maclaurin order, its weights and the
 rounding allowance live here alone.  ``run_truncated_log_sum`` sums a
 series as one head of N explicit terms plus that tail over k > N, and
-confirms that estimate by a second one at 2N, within the fixed limits
-MAX_TERMS and REL_TOL; the head is FIRST_HEAD terms unless the caller
-names a longer one.  ``gamma_ratio_product`` evaluates
+confirms that estimate by a second one at 2N; the head is FIRST_HEAD terms
+unless the caller names a longer one, and an estimate has converged when
+its bound meets REL_TOL.  ``gamma_ratio_product`` evaluates
 
     Gamma(1-a)*Gamma(x+a)/Gamma(x) = prod_{k>=1} k*(k+x-1) / ((k-a)*(k+x+a-1))
 
-that way for x > 0, a < 1; ``ln_gamma`` (the standard library's
-``math.lgamma``) provides the independent route it is checked against.
+that way for x > 0, a < 1, and refuses an input whose head would pass
+MAX_TERMS // 2 terms; ``ln_gamma`` (the standard library's ``math.lgamma``)
+provides the independent route it is checked against.
 """
 
 from __future__ import annotations
@@ -96,10 +97,10 @@ class _LogSum(NamedTuple):
 
 EPS = 2.0**-52
 
-# The driver's contract: a head of at most MAX_TERMS // 2 terms, so that
-# with its confirming terms no call sums more than MAX_TERMS, and a result
-# that has converged when its bound on |log(true/truncated)|, roughly the
-# relative error, meets REL_TOL.
+# No driver call sums more than MAX_TERMS terms: the head is FIRST_HEAD
+# terms but in gamma_ratio_product, which refuses an input whose head would
+# pass MAX_TERMS // 2.  A result has converged when its bound on
+# |log(true/truncated)|, roughly the relative error, meets REL_TOL.
 MAX_TERMS = 10**6
 REL_TOL = 1e-10
 
@@ -202,30 +203,28 @@ def run_truncated_log_sum(terms, tail, head: int = FIRST_HEAD) -> _LogSum:
     k_lo..k_hi and the sum of their absolute values, each summed from k_hi
     down to k_lo; ``tail(N) -> (value, bound)`` is the series' own
     certified sum over k > N, its bound covering the truncation remainder
-    and the tail's rounding.  The head is N = min(head, MAX_TERMS // 2)
-    terms, and one confirming estimate at 2N asks only for the terms
-    N+1..2N, so each term is evaluated once and no call sums more than
-    MAX_TERMS.  Each estimate's bound is its tail bound plus a rounding
-    allowance of (N + _ROUNDING_ULPS) ulp of the summed sizes, which covers
-    summing the head range by range.  The estimate at N is returned with
-    terms = 2N; stop is "tolerance" when its bound meets REL_TOL,
-    "budget" when it does not, and "doubling-failed" when the two
+    and the tail's rounding.  The head is exactly N = head terms, and one
+    confirming estimate at 2N asks only for the terms N+1..2N, so each term
+    is evaluated once.  Each estimate's bound is its tail bound plus a
+    rounding allowance of (N + _ROUNDING_ULPS) ulp of the summed sizes,
+    which covers summing the head range by range.  The estimate at N is
+    returned with terms = 2N; stop is "tolerance" when its bound meets
+    REL_TOL, "budget" when it does not, and "doubling-failed" when the two
     estimates differ by more than the sum of their bounds, the gap then
     counting in the bound.
     """
-    n = min(head, MAX_TERMS // 2)
-    part, size = terms(1, n)
-    more, more_size = terms(n + 1, 2 * n)
-    value, bound = tail(n)
-    value2, bound2 = tail(2 * n)
+    part, size = terms(1, head)
+    more, more_size = terms(head + 1, 2 * head)
+    value, bound = tail(head)
+    value2, bound2 = tail(2 * head)
     total = part + value
     total2 = (part + more) + value2
-    bound += (n + _ROUNDING_ULPS) * EPS * size
-    bound2 += (2 * n + _ROUNDING_ULPS) * EPS * (size + more_size)
+    bound += (head + _ROUNDING_ULPS) * EPS * size
+    bound2 += (2 * head + _ROUNDING_ULPS) * EPS * (size + more_size)
     gap = abs(total2 - total)
     if gap > bound + bound2:
-        return _LogSum(total, 2 * n, gap + bound2, "doubling-failed")
-    return _LogSum(total, 2 * n, bound, "tolerance" if bound <= REL_TOL else "budget")
+        return _LogSum(total, 2 * head, gap + bound2, "doubling-failed")
+    return _LogSum(total, 2 * head, bound, "tolerance" if bound <= REL_TOL else "budget")
 
 
 def gamma_ratio_product(x: float, a: float) -> ProductResult:
@@ -234,10 +233,12 @@ def gamma_ratio_product(x: float, a: float) -> ProductResult:
     Requires finite x > 0 and a < 1, and x+a not a nonpositive integer (a
     factor denominator vanishes there), else ValueError; so too when a
     factor's denominator k + x + a - 1, rounded as the kernel rounds it, is
-    0.  The value is negative exactly when an odd number of early factors
-    is negative (possible for x+a < 0).  a = 0 short-circuits to exactly 1:
-    every factor is identically one and a product of rounded ones would
-    only accumulate noise.
+    0, and when the head, one term per negative factor and FIRST_HEAD
+    more, would exceed MAX_TERMS // 2 terms.  The value is negative
+    exactly when an odd number of early factors is negative (possible for
+    x+a < 0).  a = 0 short-circuits to exactly 1: every factor is
+    identically one and a product of rounded ones would only accumulate
+    noise.
     """
     x = float(x)
     a = float(a)
@@ -253,6 +254,8 @@ def gamma_ratio_product(x: float, a: float) -> ProductResult:
 
     # Factor k is negative exactly while k + x + a - 1 < 0.
     mixed = max(0, math.floor(1.0 - x - a))
+    if FIRST_HEAD + mixed > MAX_TERMS // 2:
+        raise ValueError(f"x + a = {s} needs a head of {FIRST_HEAD + mixed} terms, more than MAX_TERMS // 2")
     # x + a can round off an integer while a denominator, as the kernel
     # rounds it, is exactly 0; that factor is infinite, so refuse it here
     # rather than sum an infinite head.  The rounded k + x + a - 1 is
@@ -263,13 +266,9 @@ def gamma_ratio_product(x: float, a: float) -> ProductResult:
     if first < len(ks) and float(ks[first]) + x + a - 1.0 == 0.0:
         raise ValueError(f"factor {ks[first]}'s denominator k + x + a - 1 rounds to 0 (gamma pole)")
 
-    # the tail's arguments must stay >= 1, so the head covers k <= 1 - x - a at least
-    lowest = min(-a, x - 1.0, x + a - 1.0)
-
+    # the head covers every negative factor, so the tail's arguments are >= 1
     def tail(k: int):
         x0 = k + 1.0
-        if x0 + lowest < 1.0:
-            return 0.0, math.inf
         upper, upper_bound = ln_gamma_difference(x0 + x - 1.0, a)
         lower, lower_bound = ln_gamma_difference(x0 - a, a)
         return upper - lower, upper_bound + lower_bound

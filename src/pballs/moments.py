@@ -13,8 +13,9 @@ and y in B_q^n (q the Hoelder conjugate).  Routes implemented here:
   product telescopes to exact closed forms at t = 0 and t = 1/4.  In
   between, g_k(m,t) = (k + ma)(k + mb) with a = 2t/(1 + sqrt(1-4t)) and
   b = 1 - a, so each log factor is a sum of differences of logs of linear
-  terms, and the tail beyond a short head is a signed sum of ln Gamma
-  differences, summed within the fixed limits MAX_TERMS and REL_TOL.
+  terms, and the tail beyond a head of FIRST_HEAD terms is a signed sum
+  of ln Gamma differences, the estimate confirmed at twice the head and
+  judged against REL_TOL.
 
 The sign of df/dt is decided by the series of per-factor log derivatives
 (``derivative_sign_series``), whose tail is the same sum for psi; both tails

@@ -36,6 +36,8 @@ chunk that the caller allocates, so memory is about workers x one chunk at
 any n and sample count.  The reducer is the only caller of sample_ball in
 the package: the estimators and the Monte Carlo suite of verify give it the
 exponents to draw and the statistics to reduce, and it draws every point.
+NumPy is imported inside the four functions that use it, so importing the
+package does not load it; the first draw does.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ import os
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .pball import _whole, as_exponent, check_dimension
 
@@ -100,6 +100,8 @@ class MCEstimate(NamedTuple):
 
 
 def _stream_rng(seed: int, key: tuple) -> np.random.Generator:
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 
@@ -130,6 +132,8 @@ def sample_ball(n, p, rng: np.random.Generator, size: int | None = None, out: np
     so neither block size is part of the draw order.  Peak memory is the
     output plus O(_BLOCK + size).
     """
+    import numpy as np
+
     n = check_dimension(n)
     e = as_exponent(p)
     m = 1 if size is None else _whole(size, "size")
@@ -227,6 +231,8 @@ def _stream_means(n: int, config: MCConfig, key: tuple, exponents: tuple, statis
     module-global name, with (n, e, rng) positional, so a rebound name (a
     tracing wrapper, say) is the one that runs, on every worker.
     """
+    import numpy as np
+
     per_stream = config.samples // config.streams
     rows = min(max(1, _CHUNK_ELEMENTS // n), per_stream)
     workers = 1 if config.samples * n < _PARALLEL_ELEMENTS else min(config.streams, _usable_cpus())
@@ -275,6 +281,8 @@ def _stream_means(n: int, config: MCConfig, key: tuple, exponents: tuple, statis
 
 def _inner_square(x, y):
     """<x, y>^2 of each row pair, the statistic whose mean is f(n, p)."""
+    import numpy as np
+
     return np.einsum("ij,ij->i", x, y) ** 2
 
 

@@ -91,8 +91,8 @@ def _telescoping_chunk(k_lo, k_hi):
 
 class TestTruncationDriver:
     def test_fixed_contract(self):
-        # an even budget: a head capped at half of it and its confirming
-        # estimate at twice the head sum exactly MAX_TERMS terms
+        # an even limit: gamma_ratio_product's longest head, half of it, and
+        # that head's confirming terms sum exactly MAX_TERMS terms
         assert MAX_TERMS == 10**6 and MAX_TERMS % 2 == 0
         assert REL_TOL == 1e-10
 
@@ -133,15 +133,7 @@ class TestTruncationDriver:
         assert asked == [(1, FIRST_HEAD), (FIRST_HEAD + 1, 2 * FIRST_HEAD)]
         assert out.terms == 2 * FIRST_HEAD
 
-    @pytest.mark.parametrize(
-        "head,asked_for",
-        [
-            (40, [(1, 40), (41, 80)]),
-            # a head past half the budget is capped there
-            (MAX_TERMS // 2 + 1, [(1, MAX_TERMS // 2), (MAX_TERMS // 2 + 1, MAX_TERMS)]),
-        ],
-    )
-    def test_caller_named_head(self, head, asked_for):
+    def test_caller_named_head(self):
         asked = []
 
         def closed_form(k_lo, k_hi):
@@ -150,9 +142,9 @@ class TestTruncationDriver:
             part = 1.0 / k_lo - 1.0 / (k_hi + 1.0)
             return part, part
 
-        out = run_truncated_log_sum(closed_form, lambda n: (1.0 / (n + 1.0), 0.0), head)
-        assert asked == asked_for
-        assert out.terms == asked_for[-1][1]
+        out = run_truncated_log_sum(closed_form, lambda n: (1.0 / (n + 1.0), 0.0), 40)
+        assert asked == [(1, 40), (41, 80)]
+        assert out.terms == 80
         assert out.confirmed is True
 
     def test_euler_maclaurin_tables_are_the_bernoulli_weights(self):
@@ -185,18 +177,15 @@ class TestTruncationDriver:
             assert (weights, remainder) == (tuple(exact[:-1]), abs(exact[-1]))
 
     def test_import_loads_no_exact_arithmetic_module(self):
-        # the tables need no fractions (nor the decimal it imports) at import time
+        # the tables need no fractions (nor the decimal it imports) at import
+        # time, and only a Monte Carlo draw loads numpy
         import os
         import subprocess
         import sys
 
         import pballs
 
-        # only the modules pballs adds after numpy is loaded are pinned
-        code = (
-            "import sys, numpy; before = set(sys.modules); import pballs.cli; "
-            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))"
-        )
+        code = "import sys, pballs.cli; print(sorted({'fractions', 'decimal', 'numpy'} & set(sys.modules)))"
         src = os.path.dirname(os.path.dirname(pballs.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -268,16 +257,32 @@ class TestGammaRatioProduct:
         with pytest.raises(ValueError, match="factor 5's denominator"):
             gamma_ratio_product(0.1, -4.1)
 
-    def test_unreached_tolerance_is_flagged_not_raised(self):
-        # the tail needs every argument k + x + a - 1 >= 1, so with
-        # x + a < -MAX_TERMS / 2 the head, one term per negative factor and
-        # FIRST_HEAD more, is capped before the tail admits it: the driver
-        # sums MAX_TERMS terms and reports an infinite bound
-        out = gamma_ratio_product(0.25, -(MAX_TERMS // 2) - 0.5)
-        assert not out.converged
-        assert out.stop == "budget"
-        assert out.terms_used == MAX_TERMS
-        assert math.isinf(out.tail_bound)
+    def test_head_past_half_the_limit_raises_at_once(self, monkeypatch):
+        # one head term per negative factor and FIRST_HEAD more would pass
+        # MAX_TERMS // 2, so the input is refused before any term is summed
+        from pballs import gamma_core
+
+        def unreachable(*args):
+            raise AssertionError("run_truncated_log_sum ran")
+
+        monkeypatch.setattr(gamma_core, "run_truncated_log_sum", unreachable)
+        with pytest.raises(ValueError, match="more than MAX_TERMS // 2"):
+            gamma_ratio_product(0.25, -(MAX_TERMS // 2) - 0.5)
+
+    def test_longest_head_reaches_the_driver_whole(self, monkeypatch):
+        # x + a = -499967.25 has 499968 negative factors: the head that
+        # covers them and FIRST_HEAD more is exactly MAX_TERMS // 2 terms
+        from pballs import gamma_core
+
+        heads = []
+
+        def recording(terms, tail, head):
+            heads.append(head)
+            return gamma_core._LogSum(0.0, 2 * head, 0.0, "tolerance")
+
+        monkeypatch.setattr(gamma_core, "run_truncated_log_sum", recording)
+        gamma_ratio_product(0.25, -499967.5)
+        assert heads == [MAX_TERMS // 2]
 
     def test_failed_doubling_check_is_not_converged(self, monkeypatch):
         # a tail that claims zero with a zero bound is refuted by the head
