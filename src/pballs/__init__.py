@@ -4,7 +4,13 @@ Computes f(n, p) — the normalized mean of <x, y>^2 over the unit p-ball
 and its polar — by three independent routes (gamma closed form, infinite
 product, Monte Carlo) and machine-checks the identities, monotonicity
 claims, and the conjectured ceiling n/(n+2)^2 relating them.
+
+The Monte Carlo names (from ``montecarlo``) and the suite names (from
+``verify``) load their modules on first use, so importing the package and
+the deterministic routes compiles neither.
 """
+
+import importlib
 
 from .gamma_core import (
     ProductResult,
@@ -25,7 +31,6 @@ from .moments import (
     kuperberg_bound,
     remark_limit_check,
 )
-from .montecarlo import MCConfig, MCEstimate, estimate_f, estimate_f_factored, sample_ball
 from .pball import (
     MAX_DIMENSION,
     Exponent,
@@ -35,7 +40,12 @@ from .pball import (
     second_moment_integral,
     volume,
 )
-from .verify import SUITE_NAMES, Check, run_suite
+
+# name -> the submodule that defines it, imported by __getattr__ on first use
+_LAZY = {
+    **dict.fromkeys(("MCConfig", "MCEstimate", "estimate_f", "estimate_f_factored", "sample_ball"), "montecarlo"),
+    **dict.fromkeys(("SUITE_NAMES", "Check", "run_suite"), "verify"),
+}
 
 __version__ = "0.1.0"
 
@@ -71,3 +81,13 @@ __all__ = [
     "signed_ln_gamma",
     "volume",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -7,11 +7,16 @@ floats print with 17 significant digits, and identical invocations produce
 identical bytes.  Exit status is 0 iff every verdict in the emitted report
 passed; bad input raises ValueError, reported as ``error: ...`` with exit
 status 2.
+
+Only the commands that use them import ``montecarlo`` (``--samples`` and
+``verify``) and ``verify`` (the ``verify`` command), so a deterministic
+``scan`` compiles neither; the parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -26,9 +31,7 @@ from .moments import (
     monotone_verdict,
     routes_agree,
 )
-from .montecarlo import MCConfig, estimate_f
 from .pball import as_exponent, check_dimension
-from .verify import SUITE_NAMES, run_suite
 
 
 class ReportRow(NamedTuple):
@@ -123,8 +126,11 @@ def _parse_n_list(text: str) -> list[int]:
     return out
 
 
-def build_report_row(n: int, p: float, mc: MCConfig | None) -> tuple[ReportRow, MomentResult]:
-    """The report row of one (n, p) cell and the closed-form result it was judged on."""
+def build_report_row(n: int, p: float, mc) -> tuple[ReportRow, MomentResult]:
+    """The report row of one (n, p) cell and the closed-form result it was judged on.
+
+    mc is the MCConfig of the Monte Carlo column, or None for none.
+    """
     e = as_exponent(p)
     closed = f_gamma(n, e)
     fg = closed.value
@@ -132,6 +138,8 @@ def build_report_row(n: int, p: float, mc: MCConfig | None) -> tuple[ReportRow, 
     bound_ok, margin = kuperberg_verdict(closed)
     f_mc = mc_se = mc_ok = None
     if mc is not None:
+        from .montecarlo import estimate_f
+
         est = estimate_f(n, e, mc)
         f_mc, mc_se = est.mean, est.std_error
         mc_ok = mc_agrees(est, fg)
@@ -150,14 +158,16 @@ def _emit_rows(rows: list[ReportRow], fmt: str, out) -> None:
         print(_line(row, fmt), file=out)
 
 
-def _mc_from_args(args) -> MCConfig | None:
-    if args.samples is None:
-        return None
-    return MCConfig(samples=args.samples, seed=args.seed, streams=args.streams)
+def _mc_config(args):
+    """The MCConfig of the Monte Carlo flags; a flag left out takes MCConfig's default."""
+    from .montecarlo import MCConfig
+
+    given = {name: getattr(args, name) for name in ("samples", "seed", "streams")}
+    return MCConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def cmd_scan(args) -> int:
-    mc = _mc_from_args(args)
+    mc = None if args.samples is None else _mc_config(args)
     ns = _parse_n_list(args.n)
     ps = _parse_p_list(args.p)
     cells = [build_report_row(n, p, mc) for n in ns for p in ps]
@@ -186,7 +196,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = run_suite(args.suite, _mc_from_args(args) or MCConfig(seed=args.seed, streams=args.streams))
+    from .verify import run_suite
+
+    checks = run_suite(args.suite, _mc_config(args))
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     ok = all(c.passed for c in checks)
@@ -195,12 +207,24 @@ def cmd_verify(args) -> int:
 
 
 def _add_mc_flags(sub) -> None:
-    sub.add_argument("--seed", type=int, default=MCConfig.seed, help="Monte Carlo seed")
-    sub.add_argument("--samples", type=int, default=None, help="Monte Carlo pair count (enables the MC column)")
-    sub.add_argument("--streams", type=int, default=MCConfig.streams, help="independent Monte Carlo substreams")
+    # no defaults here: a flag left out takes MCConfig's (see _mc_config)
+    sub.add_argument("--seed", type=int, help="Monte Carlo seed")
+    sub.add_argument("--samples", type=int, help="Monte Carlo pair count (enables the MC column)")
+    sub.add_argument("--streams", type=int, help="independent Monte Carlo substreams")
 
 
+class _SuiteNames:
+    """``verify.SUITE_NAMES``, imported when argparse first iterates the choices (``in`` does too)."""
+
+    def __iter__(self):
+        from .verify import SUITE_NAMES
+
+        return iter(SUITE_NAMES)
+
+
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pballs",
         description="Evaluate and verify the p-ball moment functional f(n, p).",
@@ -215,7 +239,11 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_verify = subs.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES, help="suite name")
+    # add_argument formats the metavar to check it, which with none set
+    # would read the choices and import verify; unset afterwards, usage and
+    # help show {routes,...} from the choices when they are printed
+    suite = p_verify.add_argument("suite", choices=_SuiteNames(), metavar="suite", help="suite name")
+    suite.metavar = None
     _add_mc_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -36,8 +36,10 @@ chunk that the caller allocates, so memory is about workers x one chunk at
 any n and sample count.  The reducer is the only caller of sample_ball in
 the package: the estimators and the Monte Carlo suite of verify give it the
 exponents to draw and the statistics to reduce, and it draws every point.
-NumPy is imported inside the four functions that use it, so importing the
-package does not load it; the first draw does.
+NumPy is imported inside the four functions that use it, so importing this
+module does not load it; the first draw does.  No annotation names a NumPy
+type, so typing.get_type_hints resolves without NumPy.  The package and the
+CLI import this module itself only for a Monte Carlo name or run.
 """
 
 from __future__ import annotations
@@ -99,27 +101,28 @@ class MCEstimate(NamedTuple):
     samples: int
 
 
-def _stream_rng(seed: int, key: tuple) -> np.random.Generator:
+def _stream_rng(seed: int, key: tuple):
+    """The numpy.random.Generator (Philox) of one substream."""
     import numpy as np
 
     seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 
 
-def sample_ball(n, p, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None):
+def sample_ball(n, p, rng, size: int | None = None, out=None):
     """Draw uniform points from the unit p-ball in R^n.
 
-    Returns shape (n,) for size=None, else (size, n).  out, if given, must
-    be a writeable, aligned, C-contiguous float64 array of shape (size, n),
-    else ValueError; it receives the points in row-major order and is
-    returned, and the draws are the same either way.  Membership
-    sum |x_i|^p <= 1 holds by construction.  Each path's generator calls
-    are part of the seeded draw order: p = inf draws (size, n) uniforms;
-    p = 2 draws (size, n) standard normals, then size exponentials; p = 1
-    draws (size, n) exponential magnitudes, then size * n sign integers in
-    row-major order, then size exponentials; any other p draws (size, n)
-    Gamma(1 + 1/p) magnitudes G, then (size, n) uniforms u in row-major
-    order, then size exponentials w.
+    rng is a numpy.random.Generator.  Returns an ndarray of shape (n,) for
+    size=None, else (size, n).  out, if given, must be a writeable, aligned,
+    C-contiguous float64 array of shape (size, n), else ValueError; it
+    receives the points in row-major order and is returned, and the draws
+    are the same either way.  Membership sum |x_i|^p <= 1 holds by
+    construction.  Each path's generator calls are part of the seeded draw
+    order: p = inf draws (size, n) uniforms; p = 2 draws (size, n) standard
+    normals, then size exponentials; p = 1 draws (size, n) exponential
+    magnitudes, then size * n sign integers in row-major order, then size
+    exponentials; any other p draws (size, n) Gamma(1 + 1/p) magnitudes G,
+    then (size, n) uniforms u in row-major order, then size exponentials w.
 
     Each path works in place on the array it returns; p = inf scales
     [0, 1) doubles to 2u - 1, the bits of uniform(-1, 1).  p = 1 applies

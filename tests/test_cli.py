@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from pballs.cli import CSV_HEADER, _parse_p, main
+from pballs.cli import CSV_HEADER, _mc_config, _parse_p, main, make_parser
+from pballs.montecarlo import MCConfig
+from pballs.verify import SUITE_NAMES
 
 MC_FLAGS = ["--samples", "40000", "--seed", "11", "--streams", "4"]
 
@@ -281,6 +283,22 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "nonsense"])
         assert excinfo.value.code == 2
+        # the parser reads the suite names from verify when it needs them
+        quoted = ", ".join(map(repr, SUITE_NAMES))
+        assert f"invalid choice: 'nonsense' (choose from {quoted})" in capsys.readouterr().err
+
+    def test_help_lists_every_suite(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        assert "{" + ",".join(SUITE_NAMES) + "}" in capsys.readouterr().out
+
+    def test_left_out_mc_flags_take_mcconfig_defaults(self):
+        # the flags have no defaults of their own; the parser is built once
+        assert make_parser() is make_parser()
+        assert _mc_config(make_parser().parse_args(["verify", "mc"])) == MCConfig()
+        args = make_parser().parse_args(["scan", "--n", "2", "--p", "2", "--seed", "0", "--samples", "8"])
+        assert _mc_config(args) == MCConfig(samples=8, seed=0)
 
     def test_mc_suite_small(self, capsys):
         code, out, _ = run_cli(

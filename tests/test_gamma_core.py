@@ -191,6 +191,30 @@ class TestTruncationDriver:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
 
+    def test_each_command_loads_only_what_it_runs(self):
+        # a deterministic scan compiles neither verify nor montecarlo (nor the
+        # dataclasses machinery MCConfig needs); verify loads both, no numpy
+        import os
+        import subprocess
+        import sys
+
+        import pballs
+
+        code = """
+import contextlib, io, sys
+from pballs import cli
+watched = {"pballs.verify", "pballs.montecarlo", "dataclasses", "numpy"}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(["scan", "--n", "2", "--p", "1.5,2"])]
+    after_scan = sorted(watched & set(sys.modules))
+    codes.append(cli.main(["verify", "endpoints"]))
+print(codes, after_scan, sorted(watched & set(sys.modules)))
+"""
+        src = os.path.dirname(os.path.dirname(pballs.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[0, 0] [] ['dataclasses', 'pballs.montecarlo', 'pballs.verify']\n"
+
     def test_wrong_tail_fails_the_doubling_check(self):
         # claiming a zero tail is refuted by the terms between N and 2N
         out = run_truncated_log_sum(_telescoping_chunk, lambda n: (0.0, 0.0))
